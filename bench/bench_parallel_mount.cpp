@@ -43,14 +43,8 @@ int main() {
     const Timing t = TimeQuery(db.get(), scan_all);
 
     const TwoStageStats& ts = t.stats.two_stage;
-    // workers == 1 takes the legacy inline path: its serial cost is the
-    // query's whole simulated I/O and the "critical path" equals it.
-    const double serial_s =
-        workers == 1 ? t.sim_io_seconds
-                     : static_cast<double>(ts.serial_sim_nanos) / 1e9;
-    const double parallel_s =
-        workers == 1 ? t.sim_io_seconds
-                     : static_cast<double>(ts.parallel_sim_nanos) / 1e9;
+    const double serial_s = static_cast<double>(ts.serial_sim_nanos) / 1e9;
+    const double parallel_s = static_cast<double>(ts.parallel_sim_nanos) / 1e9;
     const double speedup = parallel_s > 0 ? serial_s / parallel_s : 1.0;
 
     std::printf("%-8zu %9.4fs %9.4fs %11.4fs %12.4fs %8.2fx\n", workers,

@@ -176,9 +176,10 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
   const uint64_t t0 = NowNanos();
   // Stats collectors (core/stats_collector.h). Coverage and the
   // informativeness index are always on — metadata-only, cheap. Zone maps
-  // per options; persisted zone maps are restored *before* the scan so
-  // FileScanned can drop entries whose file identity changed (safety-ladder
-  // step 1). They must all exist before the Open scan to see its events.
+  // and derived metadata per options; persisted zone maps are restored
+  // *before* the scan so FileScanned can drop entries whose file identity
+  // changed (safety-ladder step 1). They must all exist before the Open scan
+  // to see its events.
   db->coverage_ = std::make_unique<CoverageCollector>();
   db->info_index_ = std::make_unique<InformativenessIndex>();
   if (options.collect_zone_maps) {
@@ -187,10 +188,14 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
       DEX_RETURN_NOT_OK(db->zone_maps_->Load(options.zone_map_path));
     }
   }
+  if (options.collect_derived_metadata) {
+    DEX_ASSIGN_OR_RETURN(db->derived_, DerivedMetadata::Create(catalog.get()));
+  }
   StatsCollectorSet scan_collectors;
   scan_collectors.Register(db->coverage_.get());
   scan_collectors.Register(db->info_index_.get());
   scan_collectors.Register(db->zone_maps_.get());
+  scan_collectors.Register(db->derived_.get());
   db->stage1_ = std::make_unique<Stage1Scanner>(
       db->format_.get(), db->registry_.get(), db->pool_.get(),
       scan_collectors);
@@ -260,10 +265,6 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
     DEX_ASSIGN_OR_RETURN(TablePtr f_table, catalog->GetTable(kFileTableName));
     DEX_ASSIGN_OR_RETURN(TablePtr r_table, catalog->GetTable(kRecordTableName));
     db->open_stats_.metadata_bytes = f_table->ByteSize() + r_table->ByteSize();
-  }
-
-  if (options.collect_derived_metadata) {
-    DEX_ASSIGN_OR_RETURN(db->derived_, DerivedMetadata::Create(catalog.get()));
   }
 
   // Freeze the built catalog as epoch 0 and wire up the executors.

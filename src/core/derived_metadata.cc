@@ -21,9 +21,8 @@ Status DerivedMetadata::RecordMounted(
   (void)header;
   (void)frames;
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string key = uri + '\0' + std::to_string(record_id);
-  if (record_stats_.count(key) > 0) return Status::OK();
-  record_stats_.emplace(key, true);
+  FileStats& fs = file_stats_[uri];
+  if (!fs.records.insert(record_id).second) return Status::OK();
 
   const double n = static_cast<double>(values.count);
   DEX_RETURN_NOT_OK(table_->AppendRow(
@@ -31,17 +30,30 @@ Status DerivedMetadata::RecordMounted(
        Value::Double(values.max), Value::Double(n > 0 ? values.sum / n : 0.0),
        Value::Double(values.sum), Value::Int64(static_cast<int64_t>(n))}));
 
-  FileStats& fs = file_stats_[uri];
-  if (fs.records_seen == 0) {
+  if (fs.records.size() == 1) {
     fs.min_value = values.min;
     fs.max_value = values.max;
   } else {
     fs.min_value = std::min(fs.min_value, values.min);
     fs.max_value = std::max(fs.max_value, values.max);
   }
-  fs.records_seen += 1;
   fs.expected_records = expected_records;
   return Status::OK();
+}
+
+void DerivedMetadata::FileScanned(const mseed::FileMeta& file,
+                                  const std::vector<mseed::RecordMeta>& records) {
+  (void)records;
+  std::lock_guard<std::mutex> lock(mu_);
+  FileStats& fs = file_stats_[file.uri];
+  if (fs.size_bytes != file.size_bytes || fs.mtime_ms != file.mtime_ms) {
+    // Rewritten since its stats were harvested (or first seen): the stats
+    // describe bytes that no longer exist.
+    fs = FileStats{};
+    fs.size_bytes = file.size_bytes;
+    fs.mtime_ms = file.mtime_ms;
+  }
+  fs.expected_records = file.num_records;
 }
 
 bool DerivedMetadata::HasCompleteFile(const std::string& uri) const {
@@ -52,7 +64,7 @@ bool DerivedMetadata::HasCompleteFile(const std::string& uri) const {
 bool DerivedMetadata::HasCompleteFileLocked(const std::string& uri) const {
   auto it = file_stats_.find(uri);
   return it != file_stats_.end() && it->second.expected_records > 0 &&
-         it->second.records_seen >= it->second.expected_records;
+         it->second.records.size() >= it->second.expected_records;
 }
 
 bool DerivedMetadata::MayMatchValueRange(const std::string& uri, double lo,

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "common/result.h"
 #include "core/stats_collector.h"
@@ -31,6 +33,11 @@ namespace dex {
 /// the decode) and broadcasts them, so DM's *content* is invariant under
 /// zone-map pruning.
 ///
+/// DM is also a stage-1 collector: a file whose size/mtime identity changed
+/// since its stats were harvested (rewritten in place, then Refresh) loses
+/// them, so pruning never answers from bytes that no longer exist. (Its old
+/// DM table rows stay.)
+///
 /// Thread-safe: concurrent mount tasks may RecordMounted simultaneously.
 /// Under parallel mounting the *row order* of the DM table depends on task
 /// interleaving; the per-file min/max aggregates (what pruning reads) and
@@ -43,7 +50,13 @@ class DerivedMetadata : public StatsCollector {
 
   std::string name() const override { return "derived"; }
 
-  /// Records stats for one mounted record. Idempotent per (uri, record_id).
+  /// Drops the stats of a file whose identity changed since they were
+  /// harvested, and records the identity of every scanned file.
+  void FileScanned(const mseed::FileMeta& file,
+                   const std::vector<mseed::RecordMeta>& records) override;
+
+  /// Records stats for one mounted record. Idempotent per (uri, record_id)
+  /// until the file's identity changes.
   /// `expected_records` is the file's record count from the repository scan
   /// (pruning activates only once all records of a file have been seen).
   Status RecordMounted(const std::string& uri, int64_t record_id,
@@ -64,7 +77,9 @@ class DerivedMetadata : public StatsCollector {
 
   size_t num_records_covered() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return record_stats_.size();
+    size_t n = 0;
+    for (const auto& [uri, fs] : file_stats_) n += fs.records.size();
+    return n;
   }
 
  private:
@@ -73,7 +88,9 @@ class DerivedMetadata : public StatsCollector {
   bool HasCompleteFileLocked(const std::string& uri) const;
 
   struct FileStats {
-    uint32_t records_seen = 0;
+    uint64_t size_bytes = 0;  // identity at the last scan
+    int64_t mtime_ms = 0;
+    std::unordered_set<int64_t> records;  // record ids seen (idempotency)
     uint32_t expected_records = 0;
     double min_value = 0;
     double max_value = 0;
@@ -82,8 +99,6 @@ class DerivedMetadata : public StatsCollector {
   mutable std::mutex mu_;
   TablePtr table_;
   std::unordered_map<std::string, FileStats> file_stats_;
-  // "uri\0record_id" -> present marker for idempotency.
-  std::unordered_map<std::string, bool> record_stats_;
 };
 
 }  // namespace dex

@@ -47,27 +47,6 @@ uint64_t NowNanos() {
           .count());
 }
 
-/// Runs `fn` at scope exit — used for the cleanup Execute owes on every
-/// return path (budget reservations, cache pins).
-template <typename F>
-struct ScopeExit {
-  F fn;
-  ~ScopeExit() { fn(); }
-};
-template <typename F>
-ScopeExit(F) -> ScopeExit<F>;
-
-/// Book-keeping for stage-2 memory reservations and (when governed)
-/// admission, shared with the mount_fn closure. Only touched from the
-/// coordinator thread: the mount_fn runs inline as union branches open, and
-/// governed queries additionally skip PremountUnion, so access is serial.
-struct AdmissionState {
-  bool stopped = false;           // no further mounts are admitted
-  bool stopped_by_memory = false; // why: budget (true) vs deadline (false)
-  Status reason;                  // DeadlineExceeded / ResourceExhausted
-  uint64_t reserved_bytes = 0;    // partial-table reservations to release
-};
-
 }  // namespace
 
 Result<std::vector<std::string>> TwoStageExecutor::FilesOfInterest(
@@ -261,187 +240,350 @@ ThreadPool* TwoStageExecutor::Pool(size_t workers) {
   return pool_.get();
 }
 
+/// Stage-2 admission for one query: the deadline gate before a mount, the
+/// gather and memory gates after it, and what the query holds meanwhile
+/// (cache pins, partial-table reservations — released on destruction).
+/// Shared by the wave and the mount_fn fallback, and only driven from the
+/// coordinator thread in union-branch order, so every decision is a function
+/// of the deterministic simulated timeline: the same file triggers a cutoff
+/// at any worker count. With no limits set the deadline never fires and
+/// reserving against the unlimited budget always succeeds — the step then
+/// only maintains the budget's high-water mark (`mem_reserved_peak`).
+class TwoStageExecutor::Admission {
+ public:
+  Admission(QueryContext* qctx, const TwoStageOptions& opts,
+            CacheManager* cache, FileRegistry* registry,
+            ShardedRepository* shards, int num_shards, TwoStageStats* stats)
+      : qctx_(qctx),
+        opts_(opts),
+        cache_(cache),
+        registry_(registry),
+        shards_(num_shards > 1 ? shards : nullptr),
+        num_shards_(num_shards),
+        stats_(stats) {}
+
+  // Partial tables never outlive the query, so their reservations don't
+  // either (the tables die with the plan — nothing reaches the catalog).
+  ~Admission() {
+    if (reserved_bytes_ > 0) qctx_->memory()->Release(reserved_bytes_);
+    for (const std::string& uri : pinned_) cache_->Unpin(uri);
+    stats_->mem_reserved_peak = qctx_->memory()->peak();
+  }
+  Admission(const Admission&) = delete;
+  Admission& operator=(const Admission&) = delete;
+
+  bool governed() const { return qctx_->has_limits(); }
+  bool sharded() const { return shards_ != nullptr; }
+  size_t num_shards() const { return static_cast<size_t>(num_shards_); }
+  size_t ShardOf(const std::string& uri) const {
+    return sharded() ? static_cast<size_t>(shards_->ShardOf(uri, num_shards_))
+                     : 0;
+  }
+
+  /// Pins a cache-scan branch's entry until the query ends: budget-pressure
+  /// eviction must not invalidate a branch of the plan being executed.
+  void Pin(const std::string& uri) {
+    cache_->Pin(uri);
+    pinned_.push_back(uri);
+  }
+
+  /// Deadline gate before a mount. `pending` is wave time not yet charged
+  /// to the clock. True = mount it; false = admission has stopped and the
+  /// branch degrades like a quarantined file (no rows, counted as skipped);
+  /// under kFailQuery the stop reason instead.
+  Result<bool> Open(uint64_t pending) {
+    if (!stopped_) {
+      const uint64_t now = SimNow(pending);
+      if (qctx_->DeadlineExpired(now)) {
+        Stop(qctx_->DeadlineStatus(now), /*by_memory=*/false, now);
+      }
+    }
+    if (!stopped_) return true;
+    if (fail_query()) return reason_;
+    stats_->is_partial = true;
+    ++(stopped_by_memory_ ? stats_->files_skipped_memory
+                          : stats_->files_skipped_deadline);
+    return false;
+  }
+
+  /// Ships `*table` from its shard to the coordinator — after the shard's
+  /// scatter request when `request` — and returns the link time, which the
+  /// caller charges. A response lost past the resend budget (or a shard
+  /// that died mid-query) quarantines the file and empties `*table`: the
+  /// same degradation as a governance skip, deterministic because the
+  /// per-link fault streams are.
+  uint64_t Gather(const std::string& table_name, const std::string& uri,
+                  bool request, TablePtr* table) {
+    const SimNetwork::LinkId link = shards_->LinkOf(static_cast<int>(ShardOf(uri)));
+    uint64_t nanos = 0;
+    Status failure;
+    {
+      SimDisk::TaskTimeScope scope(&nanos);
+      if (request) (void)shards_->network()->Transfer(link, kShardRequestBytes);
+      failure = shards_->network()->Transfer(link, (*table)->ByteSize()).status();
+    }
+    if (!failure.ok()) {
+      registry_->Quarantine(uri, failure.message());
+      AddShardWarning(&stats_->mount, "gather of '" + uri + "' failed: " +
+                                          failure.message() +
+                                          " (file quarantined)");
+      *table = std::make_shared<Table>(table_name, MakeDataSchema());
+    }
+    return nanos;
+  }
+
+  /// Memory gate after a mount (and its gather): `table` when admitted, an
+  /// empty table when the budget refused it, the stop reason under
+  /// kFailQuery. Two layers: the table must fit under the query's own cap
+  /// (if any) *and* in the shared budget. Eviction of unpinned cache entries
+  /// is tried only for the shared budget — freeing cache space cannot help
+  /// a query that exhausted its private cap.
+  Result<TablePtr> Admit(const std::string& table_name, const std::string& uri,
+                         TablePtr table, uint64_t pending) {
+    const uint64_t bytes = table->ByteSize();
+    MemoryBudget* budget = qctx_->memory();
+    const uint64_t query_cap = qctx_->query_memory_limit();
+    const bool over_query_cap =
+        query_cap != 0 && reserved_bytes_ + bytes > query_cap;
+    bool reserved = !over_query_cap && budget->TryReserve(bytes);
+    if (!reserved && !over_query_cap && cache_ != nullptr) {
+      const size_t evicted = cache_->EvictUnpinned(bytes);
+      stats_->mem_budget_evictions += evicted;
+      if (evicted > 0) {
+        obs::FlightEvent ev;
+        ev.kind = "budget_eviction";
+        ev.detail = std::to_string(evicted) + " cache entries for '" + uri + "'";
+        obs::FlightRecorder::Global().Record(std::move(ev));
+      }
+      reserved = budget->TryReserve(bytes);
+    }
+    if (reserved) {
+      reserved_bytes_ += bytes;
+      return table;
+    }
+    Stop(over_query_cap
+             ? Status::ResourceExhausted(
+                   "per-query memory cap of " + std::to_string(query_cap) +
+                   " bytes exhausted mounting '" + uri + "' (" +
+                   std::to_string(bytes) + " bytes needed, " +
+                   std::to_string(reserved_bytes_) + " reserved)")
+             : Status::ResourceExhausted(
+                   "memory budget of " + std::to_string(budget->limit()) +
+                   " bytes exhausted mounting '" + uri + "' (" +
+                   std::to_string(bytes) + " bytes needed, " +
+                   std::to_string(budget->used()) + " in use)"),
+         /*by_memory=*/true, SimNow(pending));
+    if (fail_query()) return reason_;
+    // The triggering file's simulated I/O is charged all the same; its data
+    // cannot be admitted and is discarded.
+    stats_->is_partial = true;
+    ++stats_->files_skipped_memory;
+    return Result<TablePtr>(std::make_shared<Table>(table_name, MakeDataSchema()));
+  }
+
+ private:
+  bool fail_query() const {
+    return opts_.on_resource_exhausted == OnResourceExhausted::kFailQuery;
+  }
+
+  // The query's own timeline (see QueryContext::sim_now) plus `pending`.
+  uint64_t SimNow(uint64_t pending) const {
+    return qctx_->sim_now(registry_->disk()->stats().sim_nanos) + pending;
+  }
+
+  // Flips the admission gate shut and records the cutoff (once).
+  void Stop(Status reason, bool by_memory, uint64_t sim_now) {
+    stopped_ = true;
+    stopped_by_memory_ = by_memory;
+    reason_ = std::move(reason);
+    stats_->cutoff_sim_nanos = sim_now - qctx_->sim_start_nanos();
+    stats_->cutoff_wall_nanos = qctx_->wall_elapsed_nanos();
+    obs::Tracer::Instant(
+        by_memory ? "memory_cutoff" : "deadline_cutoff", "governance",
+        {{"cutoff_sim_nanos", std::to_string(stats_->cutoff_sim_nanos)}});
+    obs::FlightEvent ev;
+    ev.kind = by_memory ? "memory_cutoff" : "deadline_cutoff";
+    ev.detail = reason_.message();
+    obs::FlightRecorder::Global().Record(std::move(ev));
+  }
+
+  QueryContext* qctx_;
+  const TwoStageOptions& opts_;
+  CacheManager* cache_;
+  FileRegistry* registry_;
+  ShardedRepository* shards_;  // null when unsharded
+  int num_shards_;
+  TwoStageStats* stats_;
+  std::vector<std::string> pinned_;  // cache-scan URIs to unpin
+  bool stopped_ = false;             // no further mounts are admitted
+  bool stopped_by_memory_ = false;   // why: budget (true) vs deadline (false)
+  Status reason_;                    // DeadlineExceeded / ResourceExhausted
+  uint64_t reserved_bytes_ = 0;      // partial-table reservations to release
+};
+
 Status TwoStageExecutor::PremountUnion(const PlanPtr& union_node, size_t workers,
                                        int priority, TwoStageStats* stats,
                                        PremountMap* premounted,
-                                       QueryContext* qctx,
-                                       const PruningOptions* pruning,
-                                       ShardedRepository* shards,
-                                       int num_shards) {
-  if (qctx != nullptr && qctx->has_limits()) {
-    // Governed queries serialize admission: every mount opens inline in
-    // union-branch order, so the deadline/budget cutoff is a function of the
-    // deterministic simulated timeline instead of worker scheduling. The
-    // trade (documented in DESIGN.md §8.8): no parallel mount overlap while
-    // a deadline or memory budget is armed. (Sharded governed queries charge
-    // their gather transfers inline in the mount_fn instead.)
-    return Status::OK();
-  }
-  const bool sharded = shards != nullptr && num_shards > 1;
+                                       Admission* admission, QueryContext* qctx,
+                                       const PruningOptions* pruning) {
   if (union_node == nullptr || union_node->kind != PlanKind::kUnion) {
     return Status::OK();
   }
-  if (!sharded && workers <= 1) {
-    return Status::OK();  // legacy path: mounts open inline, one at a time
-  }
   // The union's branch order is the files-of-interest order (URIs,
   // deterministic), so task index doubles as the deterministic tiebreak for
-  // error reporting and time aggregation.
+  // error reporting, admission and time aggregation.
   std::vector<const LogicalPlan*> mounts;
   for (const PlanPtr& child : union_node->children) {
     if (child->kind == PlanKind::kMount) mounts.push_back(child.get());
   }
-  // Unsharded: overlap needs at least two mounts. Sharded: the wave runs
-  // even for a single mount at a single worker — the per-shard cost model
-  // (not the worker-lane makespan) is what gets charged, and it must be the
-  // same at every worker count.
-  if (mounts.empty() || (!sharded && mounts.size() < 2)) return Status::OK();
+  if (mounts.empty()) return Status::OK();
 
-  struct TaskResult {
+  // Governed waves admit one mount at a time on the calling thread: the
+  // deadline gate reads the timeline the previous mount (and its gather)
+  // left. Real threads only ever shorten wall time.
+  const bool governed = admission->governed();
+  ThreadPool* pool =
+      governed || workers <= 1 || mounts.size() < 2 ? nullptr : Pool(workers);
+  const size_t step = governed ? 1 : mounts.size();
+
+  struct Task {
+    bool spawned = false;
     TablePtr table;
     Mounter::MountOutcome outcome;
-    uint64_t sim_nanos = 0;
+    uint64_t sim_nanos = 0;   // this task's simulated stall time
+    uint64_t wall_nanos = 0;  // charged to the serving Mount in EXPLAIN ANALYZE
   };
-  std::vector<TaskResult> results(mounts.size());
-  TaskGroup group(workers > 1 ? Pool(workers) : nullptr, priority);
-  for (size_t i = 0; i < mounts.size(); ++i) {
-    const LogicalPlan* node = mounts[i];
-    TaskResult* slot = &results[i];
-    // Trace context (order key + parent span) is captured at spawn time and
-    // installed on the worker thread by TaskGroup::Spawn itself, so the span
-    // below parents under the coordinator's current span automatically.
-    group.Spawn([this, node, slot, qctx, pruning]() -> Status {
-      // A cancelled query skips tasks that have not started yet; the cancel
-      // reason propagates through the group's lowest-index error rule.
-      if (qctx != nullptr) DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
-      obs::TraceSpan span("mount_task", "mount");
-      span.AddArg("uri", node->uri);
-      span.AddArg("lane", static_cast<uint64_t>(obs::CurrentThreadLane()));
-      // Route this task's simulated stall time into its own bucket so the
-      // wave's cost can be aggregated as a critical path afterwards,
-      // independent of real thread interleaving.
-      SimDisk::TaskTimeScope scope(&slot->sim_nanos);
-      DEX_ASSIGN_OR_RETURN(slot->table,
-                           mounter_->Mount(node->table_name, node->uri,
-                                           node->predicate, &slot->outcome,
-                                           qctx, pruning));
-      return Status::OK();
-    });
-  }
-  DEX_RETURN_NOT_OK(group.Wait());
+  std::vector<Task> tasks(mounts.size());
+  std::vector<TwoStageStats::ShardRow> shard(admission->num_shards());
+  uint64_t pending = 0;  // buckets + gathers so far, not yet on the clock
 
-  if (sharded) {
-    // Sharded time model: each shard is one storage node with a serial disk
-    // behind its own link. The wave costs max over shards of (the shard's
-    // summed mount time + the shard's net time) — the slowest *shard*, not
-    // the slowest worker lane — so the charge is identical at every worker
-    // count and physical pool size. Worker threads only shorten wall time.
-    const size_t n = static_cast<size_t>(num_shards);
-    std::vector<int> owner(mounts.size());
-    std::vector<uint64_t> disk_nanos(n, 0);
-    std::vector<uint64_t> net_nanos(n, 0);
-    std::vector<size_t> files(n, 0);
-    for (size_t i = 0; i < mounts.size(); ++i) {
-      owner[i] = shards->ShardOf(mounts[i]->uri, num_shards);
-      disk_nanos[static_cast<size_t>(owner[i])] += results[i].sim_nanos;
-      ++files[static_cast<size_t>(owner[i])];
+  // Coordinator step after task i, in branch order: merge its outcome,
+  // gather its table (sharded), admit it against the memory budget.
+  auto finish = [&](size_t i) -> Status {
+    Task& t = tasks[i];
+    const LogicalPlan* node = mounts[i];
+    TwoStageStats::ShardRow& row = shard[admission->ShardOf(node->uri)];
+    stats->mount.MergeFrom(t.outcome);
+    ++row.files;
+    row.disk_sim_nanos += t.sim_nanos;
+    pending += t.sim_nanos;
+    if (admission->sharded()) {
+      const bool request = row.net_messages == 0;
+      const uint64_t nanos =
+          admission->Gather(node->table_name, node->uri, request, &t.table);
+      row.net_messages += request ? 2 : 1;
+      row.net_sim_nanos += nanos;
+      pending += nanos;
     }
-    // Gather on the coordinator at the barrier, in shard then branch order:
-    // the k-th transfer on a link is the same transfer in every run, so the
-    // per-link fault streams replay bit-identically. One scatter request per
-    // shard with work, then each mounted table ships back over its link.
-    SimNetwork* net = shards->network();
-    std::vector<uint64_t> messages(n, 0);
-    std::vector<Status> gather_failure(mounts.size(), Status::OK());
-    for (int s = 0; s < num_shards; ++s) {
-      if (files[static_cast<size_t>(s)] == 0) continue;
-      // The shard's transfers land in its own bucket; the global clock is
-      // charged once below with the wave's critical path.
-      SimDisk::TaskTimeScope scope(&net_nanos[static_cast<size_t>(s)]);
-      (void)net->Transfer(shards->LinkOf(s), kShardRequestBytes);
-      ++messages[static_cast<size_t>(s)];
-      for (size_t i = 0; i < mounts.size(); ++i) {
-        if (owner[i] != s || results[i].table == nullptr) continue;
-        Result<uint64_t> resp =
-            net->Transfer(shards->LinkOf(s), results[i].table->ByteSize());
-        ++messages[static_cast<size_t>(s)];
-        if (!resp.ok()) gather_failure[i] = resp.status();
+    DEX_ASSIGN_OR_RETURN(TablePtr admitted,
+                         admission->Admit(node->table_name, node->uri,
+                                          std::move(t.table), pending));
+    (*premounted)[node->uri] =
+        PremountEntry{node->predicate, std::move(admitted), node, t.wall_nanos};
+    return Status::OK();
+  };
+
+  auto run = [&]() -> Status {
+    for (size_t begin = 0; begin < mounts.size(); begin += step) {
+      const size_t end = std::min(begin + step, mounts.size());
+      TaskGroup group(pool, priority);
+      for (size_t i = begin; i < end; ++i) {
+        const LogicalPlan* node = mounts[i];
+        DEX_ASSIGN_OR_RETURN(const bool admitted, admission->Open(pending));
+        if (!admitted) {
+          (*premounted)[node->uri] = PremountEntry{
+              node->predicate,
+              std::make_shared<Table>(node->table_name, MakeDataSchema()), node};
+          continue;
+        }
+        Task* task = &tasks[i];
+        task->spawned = true;
+        // Trace context (order key + parent span) is captured at spawn time
+        // and installed by TaskGroup::Spawn itself, so spans below parent
+        // under the coordinator's current span automatically.
+        group.Spawn([this, node, task, qctx, pruning, pool]() -> Status {
+          // A cancelled query skips tasks that have not started yet; the
+          // cancel reason propagates through the lowest-index error rule.
+          DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
+          std::optional<obs::TraceSpan> span;
+          if (pool != nullptr) {
+            span.emplace("mount_task", "mount");
+            span->AddArg("uri", node->uri);
+            span->AddArg("lane", static_cast<uint64_t>(obs::CurrentThreadLane()));
+          }
+          const uint64_t t0 = NowNanos();
+          // This task's simulated stall time goes into its own bucket, so
+          // the wave's cost is aggregated afterwards independent of real
+          // thread interleaving.
+          SimDisk::TaskTimeScope scope(&task->sim_nanos);
+          Result<TablePtr> mounted =
+              mounter_->Mount(node->table_name, node->uri, node->predicate,
+                              &task->outcome, qctx, pruning);
+          task->wall_nanos = NowNanos() - t0;
+          DEX_ASSIGN_OR_RETURN(task->table, std::move(mounted));
+          return Status::OK();
+        });
       }
-    }
-    uint64_t wave = 0;
-    for (size_t s = 0; s < n; ++s) {
-      wave = std::max(wave, disk_nanos[s] + net_nanos[s]);
-      stats->serial_sim_nanos += disk_nanos[s] + net_nanos[s];
-      stats->net_sim_nanos += net_nanos[s];
-      if (files[s] == 0) continue;
-      // Per-shard accounting row (merged across batched waves by shard id).
-      TwoStageStats::ShardRow* row = nullptr;
-      for (TwoStageStats::ShardRow& r : stats->shard_rows) {
-        if (r.shard == static_cast<int>(s)) row = &r;
+      DEX_RETURN_NOT_OK(group.Wait());
+      for (size_t i = begin; i < end; ++i) {
+        if (tasks[i].spawned) DEX_RETURN_NOT_OK(finish(i));
       }
-      if (row == nullptr) {
-        stats->shard_rows.push_back(TwoStageStats::ShardRow{});
-        row = &stats->shard_rows.back();
-        row->shard = static_cast<int>(s);
-      }
-      row->files += files[s];
-      row->disk_sim_nanos += disk_nanos[s];
-      row->net_sim_nanos += net_nanos[s];
-      row->net_messages += messages[s];
-      obs::Tracer::Instant(
-          "shard_gather", "shard",
-          {{"shard", std::to_string(s)},
-           {"files", std::to_string(files[s])},
-           {"disk_nanos", std::to_string(disk_nanos[s])},
-           {"net_nanos", std::to_string(net_nanos[s])}});
-    }
-    registry_->disk()->ChargeDelay(wave);
-    stats->parallel_sim_nanos += wave;
-    stats->mount_tasks += mounts.size();
-    for (size_t i = 0; i < mounts.size(); ++i) {
-      stats->mount.MergeFrom(results[i].outcome);
-      if (!gather_failure[i].ok()) {
-        // The response never made it across the link (loss past the resend
-        // budget, or the shard died mid-wave): quarantine the file and let
-        // its branch contribute no rows — the same degradation as a
-        // governance skip, and deterministic because the fault streams are.
-        registry_->Quarantine(mounts[i]->uri, gather_failure[i].message());
-        AddShardWarning(&stats->mount,
-                        "gather of '" + mounts[i]->uri +
-                            "' failed: " + gather_failure[i].message() +
-                            " (file quarantined)");
-        (*premounted)[mounts[i]->uri] = PremountEntry{
-            mounts[i]->predicate,
-            std::make_shared<Table>(mounts[i]->table_name, MakeDataSchema())};
-        continue;
-      }
-      (*premounted)[mounts[i]->uri] =
-          PremountEntry{mounts[i]->predicate, std::move(results[i].table)};
     }
     return Status::OK();
-  }
+  };
+  // Whatever ran is charged, on the error path too: the I/O happened.
+  const Status status = run();
 
-  // Deterministic time model: greedy list scheduling of the per-task stall
-  // times onto `workers` lanes, in task order. The makespan (longest lane)
-  // is what a machine with `workers` disks-worth of overlap would have
-  // stalled; it is charged to the medium as this wave's elapsed time.
-  // (Contrast with the stage-1 scan, which charges the serial sum and only
-  // *reports* the makespan: a query's latency should drop with workers,
-  // Open/Refresh cost must not drift with the core count.)
-  std::vector<uint64_t> task_nanos;
-  task_nanos.reserve(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    task_nanos.push_back(results[i].sim_nanos);
-    stats->mount.MergeFrom(results[i].outcome);
-    (*premounted)[mounts[i]->uri] =
-        PremountEntry{mounts[i]->predicate, std::move(results[i].table)};
+  // The one charging formula over (shard × lane) slots: per slot, the
+  // slot's buckets list-scheduled in task order over its lanes, plus the
+  // slot's gathers; the wave costs the slowest slot. Unsharded: one slot of
+  // `workers` lanes. Sharded: one slot per shard, a storage node with one
+  // serial disk. Governed: one slot of one lane — the query's timeline.
+  const size_t num_slots = governed ? 1 : shard.size();
+  const size_t lanes = governed || admission->sharded() ? 1 : workers;
+  std::vector<std::vector<uint64_t>> slot_tasks(num_slots);
+  std::vector<uint64_t> slot_gather(num_slots, 0);
+  for (size_t i = 0; i < mounts.size(); ++i) {
+    if (!tasks[i].spawned) continue;
+    ++stats->mount_tasks;
+    slot_tasks[governed ? 0 : admission->ShardOf(mounts[i]->uri)].push_back(
+        tasks[i].sim_nanos);
   }
-  const SimSchedule sched = ListScheduleSimTimes(task_nanos, workers);
-  registry_->disk()->ChargeDelay(sched.makespan);
-  stats->parallel_sim_nanos += sched.makespan;
-  stats->serial_sim_nanos += sched.serial_sum;
-  stats->mount_tasks += mounts.size();
-  return Status::OK();
+  for (size_t s = 0; s < shard.size(); ++s) {
+    slot_gather[governed ? 0 : s] += shard[s].net_sim_nanos;
+    stats->net_sim_nanos += shard[s].net_sim_nanos;
+  }
+  uint64_t wave = 0;
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    const SimSchedule sched = ListScheduleSimTimes(slot_tasks[slot], lanes);
+    wave = std::max(wave, sched.makespan + slot_gather[slot]);
+    stats->serial_sim_nanos += sched.serial_sum + slot_gather[slot];
+  }
+  registry_->disk()->ChargeDelay(wave);
+  stats->parallel_sim_nanos += wave;
+
+  // Per-shard accounting rows, merged across batched waves by shard id.
+  for (size_t s = 0; admission->sharded() && s < shard.size(); ++s) {
+    if (shard[s].files == 0) continue;
+    auto row = std::find_if(
+        stats->shard_rows.begin(), stats->shard_rows.end(),
+        [s](const TwoStageStats::ShardRow& r) { return r.shard == static_cast<int>(s); });
+    if (row == stats->shard_rows.end()) {
+      row = stats->shard_rows.insert(row, TwoStageStats::ShardRow{});
+      row->shard = static_cast<int>(s);
+    }
+    row->files += shard[s].files;
+    row->disk_sim_nanos += shard[s].disk_sim_nanos;
+    row->net_sim_nanos += shard[s].net_sim_nanos;
+    row->net_messages += shard[s].net_messages;
+    obs::Tracer::Instant(
+        "shard_gather", "shard",
+        {{"shard", std::to_string(s)},
+         {"files", std::to_string(shard[s].files)},
+         {"disk_nanos", std::to_string(shard[s].disk_sim_nanos)},
+         {"net_nanos", std::to_string(shard[s].net_sim_nanos)}});
+  }
+  return status;
 }
 
 Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
@@ -451,6 +593,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
                                            QueryContext* qctx,
                                            const QueryEnv* env) {
   DEX_CHECK(stats != nullptr);
+  DEX_CHECK(qctx != nullptr);
   // The query's own view of the world: its pinned catalog epoch, effective
   // options, and pool priority. Defaults reproduce the single-query behavior.
   Catalog* catalog =
@@ -468,213 +611,67 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
 
   DEX_ASSIGN_OR_RETURN(SplitResult split, SplitPlan(plan, *catalog));
 
-  const bool governed = qctx != nullptr && qctx->has_limits();
   const size_t workers = opts.num_threads == 0
                              ? ThreadPool::DefaultConcurrency()
                              : opts.num_threads;
-  // Governed queries serialize stage-2 admission (PremountUnion is a no-op),
-  // so report the effective lane count.
-  stats->workers = governed ? 1 : workers;
+  // Governed queries run the mount wave on one lane; report that.
+  stats->workers = qctx->has_limits() ? 1 : workers;
 
-  // Mounts completed ahead of plan execution by worker tasks. The mount_fn
-  // serves them on URI + exact-predicate match; anything else (cache-scan
-  // fallbacks, re-opened branches) takes the real serial mount path.
-  auto premounted = std::make_shared<PremountMap>();
-  // Reservation/admission book-keeping, shared with the mount_fn closure.
-  // Present for every governed *or merely tracked* query (any qctx): an
-  // ungoverned run still reserves against the unlimited budget, so its
-  // `mem_reserved_peak` reports what a governed run would have needed.
-  auto admission = qctx != nullptr ? std::make_shared<AdmissionState>() : nullptr;
-  // URIs pinned in the cache for this query's cache-scan branches.
-  std::vector<std::string> pinned_uris;
-  ScopeExit cleanup{[&] {
-    // All return paths: partial tables never outlive the query, so their
-    // budget reservations don't either (the tables themselves are dangling
-    // shared_ptrs that die with the plan — nothing reaches the catalog).
-    if (admission != nullptr && admission->reserved_bytes > 0) {
-      qctx->memory()->Release(admission->reserved_bytes);
-    }
-    if (cache_ != nullptr) {
-      for (const std::string& uri : pinned_uris) cache_->Unpin(uri);
-    }
-    if (qctx != nullptr) stats->mem_reserved_peak = qctx->memory()->peak();
-  }};
-
-  // Flips the admission gate shut and records the cutoff (once).
-  auto stop_admission = [this, stats, qctx](AdmissionState* adm, Status reason,
-                                            bool by_memory, uint64_t sim_now) {
-    adm->stopped = true;
-    adm->stopped_by_memory = by_memory;
-    adm->reason = std::move(reason);
-    stats->cutoff_sim_nanos = sim_now - qctx->sim_start_nanos();
-    stats->cutoff_wall_nanos = qctx->wall_elapsed_nanos();
-    obs::Tracer::Instant(
-        by_memory ? "memory_cutoff" : "deadline_cutoff", "governance",
-        {{"cutoff_sim_nanos", std::to_string(stats->cutoff_sim_nanos)}});
-    // Governed admission runs serially on the coordinator, so the cutoff
-    // event is deterministic: the same file triggers it at any worker count.
-    obs::FlightEvent ev;
-    ev.kind = by_memory ? "memory_cutoff" : "deadline_cutoff";
-    ev.detail = adm->reason.message();
-    obs::FlightRecorder::Global().Record(std::move(ev));
-  };
+  // Mounts completed (or refused) ahead of plan execution by the wave. The
+  // mount_fn serves them on URI + exact-predicate match.
+  PremountMap premounted;
+  Admission admission(qctx, opts, cache_, registry_, shards, num_shards, stats);
 
   ExecContext ctx;
   ctx.catalog = catalog;
   ctx.profiler = profiler;
   ctx.use_simd_kernels = opts.pruning.use_simd_kernels;
-  if (qctx != nullptr) {
-    // Per-batch cooperative cancellation in the volcano operators. Under
-    // kFailQuery a deadline behaves like a cancellation (the whole plan
-    // aborts); under kPartialResults it only gates mount admission, so the
-    // plan runs to completion over whatever was admitted. Deadlines are
-    // measured on the query's own sim timeline (qctx->sim_now): under
-    // concurrent serving the global clock advances with everyone's I/O.
-    SimDisk* disk = registry_->disk();
-    const bool fail_on_deadline =
-        qctx->has_deadline() &&
-        opts.on_resource_exhausted == OnResourceExhausted::kFailQuery;
-    ctx.interrupt_fn = [qctx, disk, fail_on_deadline]() -> Status {
-      DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
-      if (fail_on_deadline) {
-        const uint64_t sim_now = qctx->sim_now(disk->stats().sim_nanos);
-        if (qctx->DeadlineExpired(sim_now)) return qctx->DeadlineStatus(sim_now);
-      }
-      return Status::OK();
-    };
-  }
-  // Gather charge for a mount performed *outside* the sharded premount wave
-  // (governed admission serializes mounts inline; premount fallbacks): the
-  // file's table still crosses its shard's link exactly once. These run
-  // serially in union-branch order on the coordinator, so the per-link fault
-  // streams replay deterministically; with no TaskTimeScope installed the
-  // transfer charges the global clock (plus the query's tee) directly.
-  auto charge_gather = [shards, num_shards, sharded,
-                        stats](const std::string& uri, const TablePtr& t) {
-    if (!sharded || t == nullptr) return;
-    const int s = shards->ShardOf(uri, num_shards);
-    Result<uint64_t> r =
-        shards->network()->Transfer(shards->LinkOf(s), t->ByteSize());
-    // A failed transfer (shard killed mid-query) still charged its attempt;
-    // dead shards are normally filtered at planning time, so keep the
-    // already-mounted data rather than inventing a second failure path.
-    if (r.ok()) stats->net_sim_nanos += *r;
+  // Per-batch cooperative cancellation in the volcano operators. Under
+  // kFailQuery a deadline behaves like a cancellation (the whole plan
+  // aborts); under kPartialResults it only gates mount admission, so the
+  // plan runs to completion over whatever was admitted. Deadlines are
+  // measured on the query's own sim timeline (qctx->sim_now): under
+  // concurrent serving the global clock advances with everyone's I/O.
+  SimDisk* disk = registry_->disk();
+  const bool fail_on_deadline =
+      qctx->has_deadline() &&
+      opts.on_resource_exhausted == OnResourceExhausted::kFailQuery;
+  ctx.interrupt_fn = [qctx, disk, fail_on_deadline]() -> Status {
+    DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
+    if (fail_on_deadline) {
+      const uint64_t sim_now = qctx->sim_now(disk->stats().sim_nanos);
+      if (qctx->DeadlineExpired(sim_now)) return qctx->DeadlineStatus(sim_now);
+    }
+    return Status::OK();
   };
-  ctx.mount_fn = [this, stats, premounted, qctx, admission, stop_admission,
-                  governed, charge_gather, &opts](
-                     const std::string& table, const std::string& uri,
-                     const ExprPtr& pred) -> Result<TablePtr> {
-    auto it = premounted->find(uri);
-    if (it != premounted->end() && it->second.predicate.get() == pred.get()) {
-      TablePtr t = std::move(it->second.table);
-      premounted->erase(it);  // each union branch opens once
-      if (admission != nullptr && qctx->memory()->TryReserve(t->ByteSize())) {
-        admission->reserved_bytes += t->ByteSize();
+  ctx.mount_fn = [this, stats, profiler, qctx, disk, &premounted, &admission,
+                  &opts](const std::string& table, const std::string& uri,
+                         const ExprPtr& pred) -> Result<TablePtr> {
+    auto it = premounted.find(uri);
+    if (it != premounted.end() && it->second.predicate.get() == pred.get()) {
+      PremountEntry entry = std::move(it->second);
+      premounted.erase(it);  // each union branch opens once
+      if (profiler != nullptr) {
+        profiler->ProfileFor(entry.node)->open_nanos += entry.wall_nanos;
       }
-      return Result<TablePtr>(std::move(t));
+      return Result<TablePtr>(std::move(entry.table));
     }
-    if (admission == nullptr) {
-      auto mounted = mounter_->Mount(table, uri, pred, &stats->mount, qctx,
-                                     &opts.pruning);
-      if (mounted.ok()) charge_gather(uri, *mounted);
-      return mounted;
-    }
-    if (!governed) {
-      // Tracked but not limited: reservations against the unlimited budget
-      // always succeed and only maintain the high-water mark.
-      auto mounted = mounter_->Mount(table, uri, pred, &stats->mount, qctx,
-                                     &opts.pruning);
-      if (!mounted.ok()) return mounted;
-      charge_gather(uri, *mounted);
-      if (qctx->memory()->TryReserve((*mounted)->ByteSize())) {
-        admission->reserved_bytes += (*mounted)->ByteSize();
-      }
-      return mounted;
-    }
-    // Governed admission, decided serially in union-branch order against
-    // the query's simulated timeline: the set of admitted files is the same
-    // at any worker count — and, with a per-query sim counter attached,
-    // independent of what concurrent queries charge to the global clock.
-    if (!admission->stopped) {
-      const uint64_t sim_now =
-          qctx->sim_now(registry_->disk()->stats().sim_nanos);
-      if (qctx->DeadlineExpired(sim_now)) {
-        stop_admission(admission.get(), qctx->DeadlineStatus(sim_now),
-                       /*by_memory=*/false, sim_now);
-      }
-    }
-    if (admission->stopped) {
-      if (opts.on_resource_exhausted == OnResourceExhausted::kFailQuery) {
-        return admission->reason;
-      }
-      stats->is_partial = true;
-      if (admission->stopped_by_memory) {
-        ++stats->files_skipped_memory;
-      } else {
-        ++stats->files_skipped_deadline;
-      }
-      // Degrade like a quarantined file: the branch contributes no rows.
+    // A branch the wave did not premount (a cache-scan whose entry vanished,
+    // a second scan of an actual table) mounts here, through the same
+    // admission step, charging the clock directly.
+    DEX_ASSIGN_OR_RETURN(const bool admitted, admission.Open(0));
+    if (!admitted) {
       return Result<TablePtr>(std::make_shared<Table>(table, MakeDataSchema()));
     }
-    auto mounted = mounter_->Mount(table, uri, pred, &stats->mount, qctx,
-                                   &opts.pruning);
-    if (!mounted.ok()) return mounted;
-    // The mounted table ships to the coordinator before memory admission is
-    // decided: a table the budget then discards still crossed the link.
-    charge_gather(uri, *mounted);
-    // Memory admission, two layers: the partial table must fit under the
-    // query's own cap (if any) *and* in the shared budget. Eviction of
-    // unpinned cache entries is tried only for the shared budget — freeing
-    // cache space cannot help a query that exhausted its private cap.
-    const uint64_t bytes = (*mounted)->ByteSize();
-    MemoryBudget* budget = qctx->memory();
-    const uint64_t query_cap = qctx->query_memory_limit();
-    const bool over_query_cap =
-        query_cap != 0 && admission->reserved_bytes + bytes > query_cap;
-    bool reserved = false;
-    if (!over_query_cap) {
-      reserved = budget->TryReserve(bytes);
-      if (!reserved && cache_ != nullptr) {
-        const size_t evicted = cache_->EvictUnpinned(bytes);
-        stats->mem_budget_evictions += evicted;
-        if (evicted > 0) {
-          obs::FlightEvent ev;
-          ev.kind = "budget_eviction";
-          ev.detail = std::to_string(evicted) + " cache entries for '" + uri + "'";
-          obs::FlightRecorder::Global().Record(std::move(ev));
-        }
-        reserved = budget->TryReserve(bytes);
-      }
+    DEX_ASSIGN_OR_RETURN(TablePtr mounted,
+                         mounter_->Mount(table, uri, pred, &stats->mount, qctx,
+                                         &opts.pruning));
+    if (admission.sharded()) {
+      const uint64_t nanos = admission.Gather(table, uri, false, &mounted);
+      disk->ChargeDelay(nanos);
+      stats->net_sim_nanos += nanos;
     }
-    if (!reserved) {
-      const uint64_t sim_now =
-          qctx->sim_now(registry_->disk()->stats().sim_nanos);
-      stop_admission(
-          admission.get(),
-          over_query_cap
-              ? Status::ResourceExhausted(
-                    "per-query memory cap of " + std::to_string(query_cap) +
-                    " bytes exhausted mounting '" + uri + "' (" +
-                    std::to_string(bytes) + " bytes needed, " +
-                    std::to_string(admission->reserved_bytes) + " reserved)")
-              : Status::ResourceExhausted(
-                    "memory budget of " + std::to_string(budget->limit()) +
-                    " bytes exhausted mounting '" + uri + "' (" +
-                    std::to_string(bytes) + " bytes needed, " +
-                    std::to_string(budget->used()) + " in use)"),
-          /*by_memory=*/true, sim_now);
-      if (opts.on_resource_exhausted == OnResourceExhausted::kFailQuery) {
-        return admission->reason;
-      }
-      // The triggering file's simulated I/O is already charged (the same
-      // file triggers exhaustion at any worker count, so this stays
-      // deterministic); its data cannot be admitted and is discarded.
-      stats->is_partial = true;
-      ++stats->files_skipped_memory;
-      return Result<TablePtr>(std::make_shared<Table>(table, MakeDataSchema()));
-    }
-    admission->reserved_bytes += bytes;
-    return mounted;
+    return admission.Admit(table, uri, std::move(mounted), 0);
   };
   ctx.cache_fn = [this](const std::string& table, const std::string& uri) {
     return mounter_->CacheLookup(table, uri);
@@ -774,16 +771,8 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
         break;
     }
   }
-  // Pin the cache entries the rewritten plan will scan: budget-pressure
-  // eviction while the query runs must not invalidate branches of the very
-  // plan being executed. Unpinned by `cleanup` on every return path.
-  if (cache_ != nullptr) {
-    for (const FileDecision& d : decisions) {
-      if (d.action == FileDecision::Action::kCacheScan) {
-        cache_->Pin(d.uri);
-        pinned_uris.push_back(d.uri);
-      }
-    }
+  for (const FileDecision& d : decisions) {
+    if (d.action == FileDecision::Action::kCacheScan) admission.Pin(d.uri);
   }
 
   // Informativeness at the breakpoint. The stage-1-harvested record-window
@@ -853,7 +842,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
       // Clean cancellation point between ingestion batches: nothing of the
       // aborted query survives except cache/quarantine entries already
       // committed, which are consistent on their own.
-      if (qctx != nullptr) DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
+      DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
       std::vector<PlanPtr> group(
           union_node->children.begin() + static_cast<long>(b * batch),
           union_node->children.begin() +
@@ -863,11 +852,11 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
       DEX_RETURN_NOT_OK(AnalyzePlan(sub, *catalog));
       obs::TraceSpan batch_span("ingest_batch", "query");
       batch_span.AddArg("batch", static_cast<uint64_t>(b + 1));
-      // Parallelism is per ingestion wave: each batch's mounts overlap, the
+      // One wave per ingestion batch: each batch's mounts overlap, the
       // breakpoint between batches stays a clean barrier.
       DEX_RETURN_NOT_OK(PremountUnion(sub, workers, priority, stats,
-                                      premounted.get(), qctx, &opts.pruning,
-                                      shards, num_shards));
+                                      &premounted, &admission, qctx,
+                                      &opts.pruning));
       DEX_ASSIGN_OR_RETURN(TablePtr part, ExecutePlan(sub, &ctx));
       if (profiler != nullptr) {
         profiler->AddRoot("stage 2 ingestion (batch " + std::to_string(b + 1) +
@@ -901,8 +890,8 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
     DEX_RETURN_NOT_OK(AnalyzePlan(stage2_plan, *catalog));
   } else {
     DEX_RETURN_NOT_OK(PremountUnion(union_node, workers, priority, stats,
-                                    premounted.get(), qctx, &opts.pruning,
-                                    shards, num_shards));
+                                    &premounted, &admission, qctx,
+                                    &opts.pruning));
   }
   DEX_ASSIGN_OR_RETURN(TablePtr result, ExecutePlan(stage2_plan, &ctx));
   if (profiler != nullptr) profiler->AddRoot("stage 2", stage2_plan);

@@ -42,13 +42,12 @@ struct TwoStageOptions {
   /// query overridable via QueryOptions::pruning.
   PruningOptions pruning;
 
-  /// Worker threads for stage-2 ingestion: the files of interest planned as
-  /// mounts are read/salvaged/decoded as parallel tasks before the union
-  /// scan. 0 = hardware concurrency; 1 = the exact legacy serial behavior
-  /// (mounts happen inline as the union's branches open). Simulated I/O time
-  /// stays deterministic for any value: per-task stall time is accumulated
-  /// separately and aggregated as a critical path over `num_threads` lanes,
-  /// independent of how the OS schedules the real threads.
+  /// Worker lanes for stage-2 ingestion: the files of interest planned as
+  /// mounts are read/salvaged/decoded as one wave of tasks before the union
+  /// scan. 0 = hardware concurrency; 1 = the wave runs on the calling thread.
+  /// Simulated I/O time stays deterministic for any value: per-task stall
+  /// time is accumulated separately and list-scheduled over `num_threads`
+  /// lanes, independent of how the OS schedules the real threads.
   size_t num_threads = 0;
 
   /// What to do when a file of interest cannot be mounted cleanly: fail the
@@ -62,10 +61,10 @@ struct TwoStageOptions {
 
   // -- Resource governance --------------------------------------------------
   // When any of the three limits below is set, stage-2 mount admission is
-  // *governed*: mounts open inline in union-branch order and each admission
-  // is decided against the global simulated clock, so the cutoff — and the
-  // partial result — is bit-identical at any num_threads (at the price of no
-  // parallel mount overlap for that query). See DESIGN.md §8.8.
+  // *governed*: the mount wave runs on one lane and admits each mount in
+  // union-branch order against the query's simulated timeline, so the
+  // cutoff — and the partial result — is bit-identical at any num_threads
+  // (at the price of no mount overlap for that query). See DESIGN.md §8.8.
 
   /// Simulated-time deadline per query (0 = none): the query may charge this
   /// many nanoseconds to the SimDisk clock before admission stops /
@@ -110,14 +109,14 @@ struct TwoStageStats {
   size_t files_pruned = 0;
   size_t files_quarantined = 0;  // files of interest dropped as quarantined
 
-  // -- Parallel ingestion -------------------------------------------------
+  // -- Mount waves ---------------------------------------------------------
   size_t workers = 1;        // resolved worker-lane count for this execution
-  size_t mount_tasks = 0;    // mounts dispatched as parallel tasks
-  /// Simulated stall time charged for parallel mount waves: the critical
-  /// path (longest worker lane under deterministic list scheduling).
+  size_t mount_tasks = 0;    // mounts run as wave tasks
+  /// Simulated stall time charged for the mount waves: their critical
+  /// paths (see PremountUnion).
   uint64_t parallel_sim_nanos = 0;
-  /// What the same waves would have cost serially (sum over tasks) — the
-  /// parallel speedup in simulated time is serial/parallel.
+  /// What the same waves would have cost serially (sum over tasks and
+  /// gathers) — the parallel speedup in simulated time is serial/parallel.
   uint64_t serial_sim_nanos = 0;
 
   // -- Resource governance ------------------------------------------------
@@ -145,10 +144,10 @@ struct TwoStageStats {
   /// per-file gather responses, including deterministic resend backoff).
   uint64_t net_sim_nanos = 0;
   /// One row per shard that served this query's stage-2 mounts: its slice
-  /// of the ingestion and what its link cost. The sharded wave charges
-  /// max(disk_sim_nanos + net_sim_nanos) over these rows — each shard is
-  /// one serial storage node, so the critical path is the slowest shard,
-  /// not the slowest worker lane.
+  /// of the ingestion and what its link cost. An ungoverned sharded wave
+  /// charges max(disk_sim_nanos + net_sim_nanos) over these rows — each
+  /// shard is one serial storage node, so the critical path is the slowest
+  /// shard, not the slowest worker lane.
   struct ShardRow {
     int shard = 0;
     size_t files = 0;
@@ -159,8 +158,8 @@ struct TwoStageStats {
   std::vector<ShardRow> shard_rows;
 
   /// Everything the query's mounts did (counters + bounded warnings),
-  /// accumulated per query — inline mounts directly, parallel tasks merged
-  /// in task order at the wave barrier.
+  /// accumulated per query — wave tasks merged in branch order on the
+  /// coordinator, fallback mounts directly.
   Mounter::MountOutcome mount;
 
   ExecStats exec;
@@ -225,14 +224,13 @@ class TwoStageExecutor {
   /// execution, after every ingestion batch) and may abort the query.
   /// `profiler`, when set (EXPLAIN ANALYZE), receives per-operator counters
   /// for every executed plan (stage 1, per-batch ingestion, stage 2).
-  /// `qctx`, when set, governs the execution: its cancel token is polled per
+  /// `qctx` (required) governs the execution: its cancel token is polled per
   /// batch and between ingestion batches, its deadline/budget gate mount
   /// admission (see TwoStageOptions' governance knobs). `env`, when set,
   /// supplies the query's pinned catalog, effective options, and priority.
   Result<TablePtr> Execute(const PlanPtr& plan, const BreakpointCallback& callback,
-                           TwoStageStats* stats, PlanProfiler* profiler = nullptr,
-                           QueryContext* qctx = nullptr,
-                           const QueryEnv* env = nullptr);
+                           TwoStageStats* stats, PlanProfiler* profiler,
+                           QueryContext* qctx, const QueryEnv* env = nullptr);
 
   /// Distinct values of the stage-1 result's `uri` column — "the files of
   /// interest are identified, and collected as a list of file URIs".
@@ -262,15 +260,19 @@ class TwoStageExecutor {
   TwoStageOptions* mutable_options() { return &options_; }
 
  private:
-  /// A mount completed ahead of plan execution by a worker task, keyed by
-  /// URI. `predicate` is the exact fused-predicate instance the plan's mount
-  /// node carries — the mount_fn serves the premounted table only on pointer
-  /// match, falling back to a real mount otherwise.
+  /// A mount the wave completed (or refused), keyed by URI. The mount_fn
+  /// serves it only when `predicate` is the exact fused-predicate instance
+  /// the plan's mount node carries; `node` and `wall_nanos` charge the
+  /// task's wall time to that Mount node in EXPLAIN ANALYZE.
   struct PremountEntry {
     ExprPtr predicate;
     TablePtr table;
+    const LogicalPlan* node = nullptr;
+    uint64_t wall_nanos = 0;
   };
   using PremountMap = std::unordered_map<std::string, PremountEntry>;
+
+  class Admission;  // per-query stage-2 admission, see two_stage.cc
 
   Result<std::vector<FileDecision>> DecideFiles(
       const std::vector<std::string>& files, const ExprPtr& d_predicate,
@@ -284,22 +286,16 @@ class TwoStageExecutor {
                                     PlanPtr* union_node_out, Catalog* catalog,
                                     const TwoStageOptions& opts);
 
-  /// Mounts `union_node`'s kMount branches as parallel tasks on `workers`
-  /// lanes, filling `premounted` and accumulating counters/warnings and the
-  /// deterministic critical-path time into `stats`. No-op when the union has
-  /// fewer than two mounts (unsharded), and no-op for governed queries
-  /// (`qctx` with limits): governed admission is serialized for determinism.
-  ///
-  /// With `shards` non-null and `num_shards` > 1 the wave runs sharded
-  /// scatter/gather instead: it runs for *any* worker count and any number
-  /// of mounts (≥ 1), groups mounts by owning shard, performs the gather
-  /// transfers on the coordinator in shard/file order (deterministic fault
-  /// streams), and charges max over shards of (shard's serial mount time +
-  /// shard's net time) — worker-invariant by construction.
+  /// The one stage-2 mount wave, at every worker count, shard count and
+  /// governance setting: mounts `union_node`'s kMount branches as tasks (on
+  /// the calling thread for one lane or one mount), then merges, gathers and
+  /// admits each in branch order — filling `premounted`, empty tables for
+  /// refused branches — and charges one formula over (shard × lane) slots
+  /// into `stats`. See the definition and DESIGN.md §8.6.
   Status PremountUnion(const PlanPtr& union_node, size_t workers, int priority,
                        TwoStageStats* stats, PremountMap* premounted,
-                       QueryContext* qctx, const PruningOptions* pruning,
-                       ShardedRepository* shards = nullptr, int num_shards = 1);
+                       Admission* admission, QueryContext* qctx,
+                       const PruningOptions* pruning);
 
   /// The shared database-wide pool when one was injected, else a private
   /// cached pool (re)built to `workers` threads when needed.

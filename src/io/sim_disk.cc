@@ -18,9 +18,6 @@ std::string IoStats::ToString() const {
   return out;
 }
 
-thread_local uint64_t* SimDisk::tls_sim_nanos_sink_ = nullptr;
-thread_local uint64_t* SimDisk::tls_query_sink_ = nullptr;
-
 SimDisk::SimDisk(const Options& options)
     : options_(options), injector_(options.faults) {
   DEX_CHECK_GT(options_.page_bytes, 0u);

@@ -193,10 +193,13 @@ class SimDisk {
   Status ResizeLocked(ObjectId id, uint64_t new_size);
   Status ReadLocked(ObjectId id, uint64_t offset, uint64_t length);
 
-  // Where this thread's sim-time charges land (null = global stats).
-  static thread_local uint64_t* tls_sim_nanos_sink_;
+  // Where this thread's sim-time charges land (null = global stats). Inline
+  // so every translation unit sees the definition: an out-of-line
+  // thread_local static member is reached through a TLS wrapper that UBSan
+  // flags as a store to a null pointer from the inline scopes above.
+  static inline thread_local uint64_t* tls_sim_nanos_sink_ = nullptr;
   // Per-query tee for charges that land on the global clock (null = none).
-  static thread_local uint64_t* tls_query_sink_;
+  static inline thread_local uint64_t* tls_query_sink_ = nullptr;
 
   const Options options_;
   mutable std::mutex mu_;

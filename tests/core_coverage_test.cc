@@ -31,8 +31,7 @@ mseed::RecordData Rec(const std::string& station, const std::string& channel,
 class CoverageTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Pid-unique: parallel ctest runs each test in its own process.
-    dir_ = "/tmp/dex_coverage_test_" + std::to_string(::getpid());
+    dir_ = tmp_.path();
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
   }
   void TearDown() override { (void)RemoveDirRecursive(dir_); }
@@ -43,6 +42,7 @@ class CoverageTest : public ::testing::Test {
     return db.ok() ? std::move(*db) : nullptr;
   }
 
+  testing::ScopedTempDir tmp_;
   std::string dir_;
 };
 

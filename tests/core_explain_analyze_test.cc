@@ -86,6 +86,34 @@ TEST(ExplainAnalyzeTest, TwoStageQueryShowsBothStagesAndMounts) {
   EXPECT_GT(result->stats.mount.mounts, 0u);
 }
 
+TEST(ExplainAnalyzeTest, MountNodesCarryTheirWaveTaskTime) {
+  // Stage-2 mounts run as wave tasks before the plan opens its branches; the
+  // Mount node serving each premounted table must still show the task's wall
+  // time, at one lane and at several.
+  ScopedRepo repo("explain_analyze_mount_time", TinyRepoOptions());
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    DatabaseOptions options;
+    options.two_stage.num_threads = workers;
+    auto db = Database::Open(repo.root(), options);
+    DEX_ASSERT_OK(db);
+    auto result = (*db)->Query(
+        "EXPLAIN ANALYZE SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
+        "WHERE F.station = 'ISK' AND F.channel = 'BHE'");
+    DEX_ASSERT_OK(result);
+    const std::string text = PlanText(*result->table);
+    size_t mounts = 0;
+    for (size_t pos = text.find("Mount("); pos != std::string::npos;
+         pos = text.find("Mount(", pos + 1)) {
+      const size_t open = text.find("open=", pos);
+      ASSERT_NE(open, std::string::npos) << text;
+      EXPECT_NE(text.compare(open, 13, "open=0.000ms "), 0)
+          << "workers=" << workers << "\n" << text;
+      ++mounts;
+    }
+    EXPECT_EQ(mounts, 2u) << text;
+  }
+}
+
 TEST(ExplainAnalyzeTest, EagerModeProfilesTheSingleStagePlan) {
   ScopedRepo repo("explain_analyze_eager", TinyRepoOptions());
   DatabaseOptions options;

@@ -58,13 +58,14 @@ TEST(ExportTest, DoublePrecisionRoundtrips) {
 }
 
 TEST(ExportTest, WritesFile) {
-  const std::string path = "/tmp/dex_export_test/out.csv";
-  (void)RemoveDirRecursive("/tmp/dex_export_test");
+  const testing::ScopedTempDir tmp;
+  const std::string path = tmp.path() + "/dex_export_test/out.csv";
+  (void)RemoveDirRecursive(tmp.path() + "/dex_export_test");
   ASSERT_TRUE(ExportTableCsv(*MakeTable(), path).ok());
   std::string back;
   ASSERT_TRUE(ReadFileToString(path, &back).ok());
   EXPECT_EQ(back, TableToCsv(*MakeTable()));
-  (void)RemoveDirRecursive("/tmp/dex_export_test");
+  (void)RemoveDirRecursive(tmp.path() + "/dex_export_test");
 }
 
 TEST(ExportTest, QueryResultExportsEndToEnd) {

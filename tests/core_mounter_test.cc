@@ -18,7 +18,7 @@ class MounterTest : public ::testing::Test {
         registry_(&disk_),
         cache_(CacheManager::Options{CachePolicy::kAll,
                                      CacheGranularity::kFile, 1 << 30}) {
-    dir_ = "/tmp/dex_mounter_test_" + std::to_string(::getpid());
+    dir_ = tmp_.path();
     (void)RemoveDirRecursive(dir_);
     // One file with two records of known content.
     mseed::RecordData r0;
@@ -52,6 +52,7 @@ class MounterTest : public ::testing::Test {
   FileRegistry registry_;
   CacheManager cache_;
   MseedAdapter format_;
+  testing::ScopedTempDir tmp_;
   std::string dir_;
   std::string uri_;
 };

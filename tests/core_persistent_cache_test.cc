@@ -34,10 +34,6 @@ using dex::testing::TinyRepoOptions;
 
 // -- Shared helpers ---------------------------------------------------------
 
-std::string ScratchDir(const std::string& tag) {
-  return "/tmp/dex_test_pcache_" + tag + "_" + std::to_string(::getpid());
-}
-
 TablePtr MakeTable(size_t rows, int64_t salt = 0) {
   auto schema = std::make_shared<Schema>();
   schema->AddField({"record_id", DataType::kInt64, "D"});
@@ -79,8 +75,7 @@ ColumnarFileMeta MetaForRealSource(const std::string& path,
 class PersistentCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = ScratchDir(info->name());
+    dir_ = tmp_.path();
     (void)RemoveDirRecursive(dir_);
   }
   void TearDown() override { (void)RemoveDirRecursive(dir_); }
@@ -90,6 +85,7 @@ class PersistentCacheTest : public ::testing::Test {
     return dir_ + "/" + name;
   }
 
+  dex::testing::ScopedTempDir tmp_;
   std::string dir_;
 };
 
@@ -485,8 +481,7 @@ constexpr char kFilteredQuery[] =
 class DbPersistentCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    cache_dir_ = ScratchDir(std::string("db_") + info->name());
+    cache_dir_ = tmp_.path();
     (void)RemoveDirRecursive(cache_dir_);
   }
   void TearDown() override { (void)RemoveDirRecursive(cache_dir_); }
@@ -511,6 +506,7 @@ class DbPersistentCacheTest : public ::testing::Test {
     return res.ok() ? CanonicalRows(*res->table) : std::vector<std::string>{};
   }
 
+  dex::testing::ScopedTempDir tmp_;
   std::string cache_dir_;
 };
 

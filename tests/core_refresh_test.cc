@@ -149,6 +149,47 @@ TEST(RefreshTest, ChangedFilesDetected) {
   EXPECT_EQ(r->table->GetValue(0, 0).int64(), 9);
 }
 
+TEST(RefreshTest, RewrittenFileDropsStaleDerivedPruningStats) {
+  // A file rewritten in place with the same record count must not be pruned
+  // on the strength of derived-metadata stats harvested from its old bytes.
+  ScopedRepo repo("refresh_dm_stale", TinyRepoOptions());
+  DatabaseOptions opts;
+  opts.collect_derived_metadata = true;
+  opts.two_stage.pruning.file_level = true;
+  auto db = Database::Open(repo.root(), opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  // Mount everything once: DM now holds complete stats for every file.
+  ASSERT_TRUE((*db)->Query("SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri").ok());
+
+  auto files = ListFiles(repo.root(), ".mseed");
+  ASSERT_TRUE(files.ok());
+  std::vector<mseed::RecordData> records;
+  for (int i = 0; i < TinyRepoOptions().records_per_file; ++i) {
+    records.push_back(NewRecord("ISK", 1262304000000LL + i * 60000LL, 9));
+    for (auto& v : records.back().samples) v += 1000000;
+  }
+  ASSERT_TRUE(mseed::WriteFile((*files)[0], records).ok());
+  BumpMtime((*files)[0], 60);
+  auto refreshed = (*db)->Refresh();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  ASSERT_EQ(refreshed->files_changed, 1u);
+
+  const std::string sql =
+      "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
+      "WHERE D.sample_value > 500000";
+  QueryOptions unpruned;
+  unpruned.pruning = opts.two_stage.pruning;
+  unpruned.pruning->file_level = false;
+  auto expect = (*db)->Query(sql, unpruned);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  EXPECT_EQ(expect->table->GetValue(0, 0).int64(),
+            9 * TinyRepoOptions().records_per_file);
+  auto pruned = (*db)->Query(sql);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  EXPECT_EQ(pruned->table->GetValue(0, 0).int64(),
+            expect->table->GetValue(0, 0).int64());
+}
+
 TEST(RefreshTest, NoChangesIsCleanNoop) {
   ScopedRepo repo("refresh_noop", TinyRepoOptions());
   auto db = Database::Open(repo.root(), {});

@@ -49,7 +49,8 @@ TEST(SnapshotTest, SaveLoadRoundtrip) {
 }
 
 TEST(SnapshotTest, EmptyScanRoundtrips) {
-  const std::string path = "/tmp/dex_snapshot_empty.snap";
+  const testing::ScopedTempDir tmp;
+  const std::string path = tmp.path() + "/dex_snapshot_empty.snap";
   ASSERT_TRUE(SaveSnapshot(mseed::ScanResult{}, path).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok());

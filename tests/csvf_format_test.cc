@@ -45,7 +45,8 @@ TEST(CsvFormatTest, HeaderLineIsHumanReadable) {
 }
 
 TEST(CsvFormatTest, ScanExtractsMetadataWithoutSamples) {
-  const std::string dir = "/tmp/dex_csvf_scan";
+  const testing::ScopedTempDir tmp;
+  const std::string dir = tmp.path() + "/dex_csvf_scan";
   (void)RemoveDirRecursive(dir);
   const std::string path = dir + "/a" + std::string(kCsvExtension);
   ASSERT_TRUE(WriteCsvFile(path, {MakeRecord(0, {1, 2, 3, 4})}).ok());
@@ -87,8 +88,9 @@ TEST(CsvFormatTest, EmptyFileYieldsNothing) {
 }
 
 TEST(CsvFormatTest, ConvertedRepositoryIsEquivalent) {
-  const std::string mseed_dir = "/tmp/dex_csvf_convert_src";
-  const std::string csv_dir = "/tmp/dex_csvf_convert_dst";
+  const testing::ScopedTempDir tmp;
+  const std::string mseed_dir = tmp.path() + "/dex_csvf_convert_src";
+  const std::string csv_dir = tmp.path() + "/dex_csvf_convert_dst";
   (void)RemoveDirRecursive(mseed_dir);
   (void)RemoveDirRecursive(csv_dir);
   auto repo =
@@ -132,7 +134,8 @@ TEST(FormatAdapterTest, DetectsMseed) {
 }
 
 TEST(FormatAdapterTest, DetectsCsv) {
-  const std::string dir = "/tmp/dex_adapter_detect_csv";
+  const testing::ScopedTempDir tmp;
+  const std::string dir = tmp.path() + "/dex_adapter_detect_csv";
   (void)RemoveDirRecursive(dir);
   mseed::RecordData rec;
   rec.network = "OR";
@@ -152,7 +155,8 @@ TEST(FormatAdapterTest, DetectsCsv) {
 }
 
 TEST(FormatAdapterTest, NoFormatIsNotFound) {
-  const std::string dir = "/tmp/dex_adapter_detect_none";
+  const testing::ScopedTempDir tmp;
+  const std::string dir = tmp.path() + "/dex_adapter_detect_none";
   (void)RemoveDirRecursive(dir);
   ASSERT_TRUE(WriteStringToFile(dir + "/readme.txt", "nothing here").ok());
   EXPECT_TRUE(DetectFormat(dir).status().IsNotFound());
@@ -162,8 +166,9 @@ TEST(FormatAdapterTest, NoFormatIsNotFound) {
 /// The generalization property: the same exploration gives identical answers
 /// over the same data in either format, lazily or eagerly.
 TEST(FormatAdapterTest, CrossFormatQueryEquivalence) {
-  const std::string mseed_dir = "/tmp/dex_adapter_equiv_mseed";
-  const std::string csv_dir = "/tmp/dex_adapter_equiv_csv";
+  const testing::ScopedTempDir tmp;
+  const std::string mseed_dir = tmp.path() + "/dex_adapter_equiv_mseed";
+  const std::string csv_dir = tmp.path() + "/dex_adapter_equiv_csv";
   (void)RemoveDirRecursive(mseed_dir);
   (void)RemoveDirRecursive(csv_dir);
   auto repo =

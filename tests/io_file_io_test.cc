@@ -1,6 +1,7 @@
 #include "io/file_io.h"
 
 #include <gtest/gtest.h>
+#include "test_util.h"
 
 namespace dex {
 namespace {
@@ -8,10 +9,11 @@ namespace {
 class FileIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/dex_file_io_test";
+    dir_ = tmp_.path();
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
   }
   void TearDown() override { (void)RemoveDirRecursive(dir_); }
+  testing::ScopedTempDir tmp_;
   std::string dir_;
 };
 

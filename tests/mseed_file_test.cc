@@ -3,6 +3,7 @@
 #include "io/file_io.h"
 #include "mseed/reader.h"
 #include "mseed/writer.h"
+#include "test_util.h"
 
 namespace dex::mseed {
 namespace {
@@ -10,7 +11,7 @@ namespace {
 class MseedFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/dex_mseed_file_test";
+    dir_ = tmp_.path();
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
   }
   void TearDown() override { (void)RemoveDirRecursive(dir_); }
@@ -28,6 +29,7 @@ class MseedFileTest : public ::testing::Test {
     return rec;
   }
 
+  testing::ScopedTempDir tmp_;
   std::string dir_;
 };
 

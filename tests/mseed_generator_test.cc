@@ -8,6 +8,7 @@
 #include "core/format_adapter.h"
 #include "io/file_io.h"
 #include "mseed/scanner.h"
+#include "test_util.h"
 
 namespace dex::mseed {
 namespace {
@@ -15,7 +16,7 @@ namespace {
 class GeneratorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/dex_generator_test";
+    dir_ = tmp_.path();
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
   }
   void TearDown() override { (void)RemoveDirRecursive(dir_); }
@@ -32,6 +33,7 @@ class GeneratorTest : public ::testing::Test {
     return gen;
   }
 
+  testing::ScopedTempDir tmp_;
   std::string dir_;
 };
 

@@ -8,6 +8,7 @@
 #include "io/file_io.h"
 #include "mseed/reader.h"
 #include "mseed/writer.h"
+#include "test_util.h"
 
 namespace dex::mseed {
 namespace {
@@ -143,7 +144,8 @@ TEST(SalvageTest, SalvagedSamplesMatchTheOriginalEncoding) {
 }
 
 TEST(SalvageTest, FileVariantReadsFromDisk) {
-  const std::string dir = "/tmp/dex_salvage_test";
+  const testing::ScopedTempDir tmp;
+  const std::string dir = tmp.path() + "/dex_salvage_test";
   ASSERT_TRUE(RemoveDirRecursive(dir).ok());
   const std::string path = dir + "/damaged.mseed";
   std::string image = FiveRecordImage();
@@ -166,7 +168,8 @@ TEST(SalvageTest, FileVariantReadsFromDisk) {
 }
 
 TEST(SalvageTest, StrictReaderNamesUriAndOffsetOnCorruption) {
-  const std::string dir = "/tmp/dex_salvage_strict_test";
+  const testing::ScopedTempDir tmp;
+  const std::string dir = tmp.path() + "/dex_salvage_strict_test";
   ASSERT_TRUE(RemoveDirRecursive(dir).ok());
   const std::string path = dir + "/corrupt.mseed";
   std::string image = FiveRecordImage();

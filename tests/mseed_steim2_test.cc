@@ -11,6 +11,7 @@
 #include "mseed/steim.h"
 #include "io/file_io.h"
 #include "mseed/writer.h"
+#include "test_util.h"
 
 namespace dex::mseed {
 namespace {
@@ -170,7 +171,8 @@ TEST(Steim2FileTest, MixedEncodingFile) {
   steim2_rec.encoding = 2;
   steim2_rec.samples = {9, 8, 7};
 
-  const std::string path = "/tmp/dex_steim2_mixed.mseed";
+  const testing::ScopedTempDir tmp;
+  const std::string path = tmp.path() + "/dex_steim2_mixed.mseed";
   ASSERT_TRUE(WriteFile(path, {steim1_rec, steim2_rec}).ok());
   auto records = Reader::ReadAllRecords(path);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
@@ -218,7 +220,8 @@ TEST(Steim2FileTest, UnknownEncodingRejected) {
 }
 
 TEST(Steim2FileTest, GeneratorEncodingOption) {
-  const std::string dir = "/tmp/dex_steim2_repo";
+  const testing::ScopedTempDir tmp;
+  const std::string dir = tmp.path() + "/dex_steim2_repo";
   (void)RemoveDirRecursive(dir);
   GeneratorOptions gen;
   gen.num_stations = 1;

@@ -206,8 +206,8 @@ TEST(FlightRecorder, AutoDumpWritesJsonOnlyWithAPath) {
   rec.Record(std::move(e));
   EXPECT_FALSE(rec.AutoDump("no path set"));
 
-  const std::string path =
-      "/tmp/dex_flight_dump_" + std::to_string(::getpid()) + ".json";
+  const testing::ScopedTempDir tmp;
+  const std::string path = tmp.path() + "/dex_flight_dump.json";
   rec.set_dump_path(path);
   EXPECT_TRUE(rec.AutoDump("unit trigger"));
   std::ifstream in(path);

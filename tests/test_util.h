@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,6 +62,39 @@ inline mseed::GeneratorOptions SmallRepoOptions() {
   gen.gap_probability = 0.05;
   return gen;
 }
+
+/// A fresh, empty scratch directory unique to this process *and* the running
+/// test — `<gtest TempDir>/dex_<Suite>.<Test>_<pid>` — removed at
+/// destruction. ctest runs every TEST as its own process, in parallel, so
+/// fixed paths collide between tests; pid + full test name never do.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = info == nullptr ? "global"
+                                       : std::string(info->test_suite_name()) +
+                                             "." + info->name();
+    for (char& c : name) {
+      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.') c = '_';
+    }
+    path_ = ::testing::TempDir() + "dex_" + name + "_" +
+            std::to_string(::getpid());
+    (void)RemoveDirRecursive(path_);
+    std::error_code ec;
+    std::filesystem::create_directories(path_, ec);
+    EXPECT_FALSE(ec) << path_ << ": " << ec.message();
+  }
+  ~ScopedTempDir() { (void)RemoveDirRecursive(path_); }
+
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Scoped temp repository: generates at construction, removes at destruction.
 /// The root is suffixed with the pid so suites sharing a fixture name do not

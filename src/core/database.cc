@@ -723,8 +723,17 @@ Result<RefreshStats> Database::Refresh() {
   span.AddArg("files_scanned", static_cast<uint64_t>(stats.files_scanned));
   span.AddArg("files_reused", static_cast<uint64_t>(stats.files_reused));
   span.AddArg("epoch", stats.epoch);
-  // The scan's FileScanned events may have dropped stale zone maps (changed
-  // file identities); persist the trimmed set when configured.
+  // Persist what was just published, when configured, so a restart reuses
+  // this scan: the metadata snapshot, and the zone maps the scan's
+  // FileScanned events may have trimmed (changed file identities).
+  if (!options_.metadata_snapshot_path.empty()) {
+    Status saved = SaveSnapshot(scan, options_.metadata_snapshot_path);
+    if (!saved.ok()) {
+      DEX_LOG(Warning) << "snapshot save to '"
+                       << options_.metadata_snapshot_path
+                       << "' failed: " << saved.ToString();
+    }
+  }
   SaveZoneMaps();
   PublishRefreshMetrics(stats);
   PublishIoMetrics(disk_->stats());

@@ -2,18 +2,17 @@
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 
 #include "common/fnv.h"
 #include "io/file_io.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
+#include "storage/schema.h"
 
 namespace dex {
 
 namespace {
 
-constexpr char kManifestMagic[8] = {'D', 'X', 'M', 'A', 'N', '0', '0', '1'};
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kEntryExtension[] = ".dxcol";
 
@@ -23,15 +22,20 @@ constexpr char kEntryExtension[] = ".dxcol";
 // with insertion order across worker counts.
 constexpr uint64_t kManifestAppendBytes = 4096;
 
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutStr(std::string* out, const std::string& s) {
-  PutU64(out, s.size());
-  out->append(s);
+/// The manifest is one columnar table, uri-sorted. Its name carries the
+/// format generation, so even an empty manifest from another generation
+/// fails to decode.
+ColumnarTableSpec ManifestSpec(uint64_t generation) {
+  ColumnarTableSpec spec;
+  spec.name = std::string(kManifestName) + "_G" + std::to_string(generation);
+  auto schema = std::make_shared<Schema>();
+  schema->AddField({"uri", DataType::kString, spec.name});
+  schema->AddField({"file", DataType::kString, spec.name});
+  schema->AddField({"encoded_bytes", DataType::kInt64, spec.name});
+  schema->AddField({"source_size_bytes", DataType::kInt64, spec.name});
+  schema->AddField({"source_mtime_ms", DataType::kInt64, spec.name});
+  spec.schema = std::move(schema);
+  return spec;
 }
 
 uint32_t StreamFor(const std::string& uri) {
@@ -85,20 +89,20 @@ void PersistentCache::ChargeSeek() {
 }
 
 Status PersistentCache::WriteManifestLocked() {
-  std::string out;
-  out.append(kManifestMagic, sizeof(kManifestMagic));
-  PutU64(&out, options_.generation);
-  PutU64(&out, manifest_.size());
+  const ColumnarTableSpec spec = ManifestSpec(options_.generation);
+  Table table(spec.name, spec.schema);
   for (const auto& [uri, e] : manifest_) {
-    PutStr(&out, uri);
-    PutStr(&out, e.file);
-    PutU64(&out, e.encoded_bytes);
-    PutU64(&out, e.source_size_bytes);
-    PutU64(&out, static_cast<uint64_t>(e.source_mtime_ms));
+    table.mutable_column(0)->AppendString(uri);
+    table.mutable_column(1)->AppendString(e.file);
+    table.mutable_column(2)->AppendInt64(static_cast<int64_t>(e.encoded_bytes));
+    table.mutable_column(3)->AppendInt64(
+        static_cast<int64_t>(e.source_size_bytes));
+    table.mutable_column(4)->AppendInt64(e.source_mtime_ms);
   }
-  PutU64(&out, Fnv1a(out.data(), out.size()));  // footer seal
+  DEX_RETURN_NOT_OK(table.CommitAppendedRows(manifest_.size()));
   ChargeWrite(kManifestAppendBytes);
-  return WriteFileAtomic(options_.dir + "/" + kManifestName, out);
+  return WriteFileAtomic(options_.dir + "/" + kManifestName,
+                         EncodeColumnarTables({&table}));
 }
 
 Status PersistentCache::ReadManifestLocked() {
@@ -110,53 +114,21 @@ Status PersistentCache::ReadManifestLocked() {
   std::string data;
   DEX_RETURN_NOT_OK(ReadFileToString(path, &data));
   ChargeRead(data.size());
-  if (data.size() < sizeof(kManifestMagic) + 8 ||
-      std::memcmp(data.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
-    return Status::Corruption("bad cache manifest magic");
+  auto tables =
+      DecodeColumnarTables(data, {ManifestSpec(options_.generation)});
+  if (!tables.ok()) {
+    return Status::Corruption("cache manifest: " + tables.status().message());
   }
-  const uint64_t want = Fnv1a(data.data(), data.size() - 8);
-  uint64_t got;
-  std::memcpy(&got, data.data() + data.size() - 8, 8);
-  if (want != got) {
-    return Status::Corruption("cache manifest footer checksum mismatch");
-  }
-  size_t pos = sizeof(kManifestMagic);
-  auto u64 = [&](uint64_t* v) -> bool {
-    if (pos + 8 > data.size() - 8) return false;
-    std::memcpy(v, data.data() + pos, 8);
-    pos += 8;
-    return true;
-  };
-  auto str = [&](std::string* s) -> bool {
-    uint64_t n;
-    if (!u64(&n) || n > data.size() || pos + n > data.size() - 8) return false;
-    *s = data.substr(pos, n);
-    pos += n;
-    return true;
-  };
-  uint64_t generation = 0, count = 0;
-  if (!u64(&generation) || !u64(&count)) {
-    return Status::Corruption("cache manifest truncated");
-  }
-  if (generation != options_.generation) {
-    return Status::Corruption("cache manifest generation " +
-                              std::to_string(generation) + " != expected " +
-                              std::to_string(options_.generation));
-  }
+  const Table& table = *(*tables)[0];
   std::map<std::string, ManifestEntry> loaded;
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string uri;
+  for (size_t row = 0; row < table.num_rows(); ++row) {
     ManifestEntry e;
-    uint64_t mtime = 0;
-    if (!str(&uri) || !str(&e.file) || !u64(&e.encoded_bytes) ||
-        !u64(&e.source_size_bytes) || !u64(&mtime)) {
-      return Status::Corruption("cache manifest truncated mid-entry");
-    }
-    e.source_mtime_ms = static_cast<int64_t>(mtime);
-    loaded.emplace(std::move(uri), std::move(e));
-  }
-  if (pos != data.size() - 8) {
-    return Status::Corruption("trailing bytes in cache manifest");
+    e.file = table.column(1)->GetString(row);
+    e.encoded_bytes = static_cast<uint64_t>(table.column(2)->GetInt64(row));
+    e.source_size_bytes =
+        static_cast<uint64_t>(table.column(3)->GetInt64(row));
+    e.source_mtime_ms = table.column(4)->GetInt64(row);
+    loaded.emplace(table.column(0)->GetString(row), std::move(e));
   }
   manifest_ = std::move(loaded);
   return Status::OK();

@@ -15,15 +15,18 @@
 namespace dex {
 
 /// \brief The durable tier of the mount cache: one checksummed columnar file
-/// per cached URI plus a footer-sealed manifest, all written via the atomic
-/// temp-file + fsync + rename protocol.
+/// per cached URI plus a manifest that is itself a one-table columnar file
+/// (io/columnar_file.h), all written via the atomic temp-file + fsync +
+/// rename protocol.
 ///
 /// The cache directory is the engine's *own* durable state — the first such
 /// state in the system — so it is treated as hostile until proven intact.
 /// Nothing read from it is ever served without passing the validation
 /// ladder:
 ///
-///   1. manifest magic + generation + footer checksum (else: wipe the dir);
+///   1. the manifest decodes as exactly this generation's table — its name
+///      carries the generation — with every checksum intact (else: wipe
+///      the dir);
 ///   2. per entry, the source file's current size/mtime vs what the entry
 ///      was persisted against (else: stale → delete, rescan is authoritative);
 ///   3. per entry, the columnar file's magic, header checksum, every frame
@@ -103,7 +106,7 @@ class PersistentCache {
   /// is returned — the caller falls back to re-mounting the source file.
   Result<TablePtr> Load(const std::string& uri, ColumnarFileMeta* meta);
 
-  /// Open-time recovery: validates the manifest (magic/generation/footer
+  /// Open-time recovery: validates the manifest (generation and every
   /// checksum — a bad manifest wipes the directory), deletes entry files
   /// the manifest does not list, then walks the listed entries oldest-uri
   /// first: stale sources are dropped, corrupt files quarantined, and every

@@ -36,10 +36,8 @@ Result<TablePtr> BuildRecordTable(const mseed::ScanResult& scan);
 
 /// \brief Inverse of BuildFileTable/BuildRecordTable: reconstructs a
 /// ScanResult from the catalog's current F and R tables — the baseline a
-/// delta Refresh() reuses for unchanged files. Record payload positions
-/// (data_offset/data_bytes) are not part of the schema and come back as 0;
-/// nothing downstream of Open() consumes them (mounts re-read files through
-/// the format adapter).
+/// delta Refresh() reuses for unchanged files, and what LoadSnapshot()
+/// returns from a persisted snapshot.
 mseed::ScanResult ScanResultFromTables(const Table& f_table,
                                        const Table& r_table);
 

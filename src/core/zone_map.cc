@@ -1,90 +1,57 @@
 #include "core/zone_map.h"
 
 #include <algorithm>
-#include <cstring>
+#include <limits>
 #include <utility>
 
-#include "common/fnv.h"
 #include "common/logging.h"
+#include "io/columnar_file.h"
 #include "io/file_io.h"
 #include "obs/flight_recorder.h"
+#include "storage/table.h"
 
 namespace dex {
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'X', 'Z', 'M', '0', '0', '0', '1'};
-constexpr uint64_t kMaxFiles = 1ull << 24;
-constexpr uint64_t kMaxRecordsPerFile = 1ull << 24;
-constexpr uint64_t kMaxFramesPerRecord = 1ull << 20;
-constexpr uint64_t kMaxStringBytes = 1ull << 20;
+// The persisted set is two columnar tables (io/columnar_file.h): one row
+// per record zone, and one row per frame stat, in record order.
+constexpr char kRecordZoneTable[] = "ZONEMAP_RECORDS";
+constexpr char kFrameZoneTable[] = "ZONEMAP_FRAMES";
 
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
+SchemaPtr MakeRecordZoneSchema() {
+  auto s = std::make_shared<Schema>();
+  const std::string q = kRecordZoneTable;
+  s->AddField({"uri", DataType::kString, q});
+  s->AddField({"size_bytes", DataType::kInt64, q});
+  s->AddField({"mtime_ms", DataType::kInt64, q});
+  s->AddField({"expected_records", DataType::kInt64, q});
+  s->AddField({"record_id", DataType::kInt64, q});
+  s->AddField({"min", DataType::kDouble, q});
+  s->AddField({"max", DataType::kDouble, q});
+  s->AddField({"sum", DataType::kDouble, q});
+  s->AddField({"count", DataType::kInt64, q});
+  s->AddField({"n_frames", DataType::kInt64, q});
+  return s;
 }
 
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
+SchemaPtr MakeFrameZoneSchema() {
+  auto s = std::make_shared<Schema>();
+  const std::string q = kFrameZoneTable;
+  for (const char* name : {"first_sample", "count", "min", "max", "entry"}) {
+    s->AddField({name, DataType::kInt64, q});
+  }
+  return s;
 }
 
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(out, bits);
+bool InU32(int64_t v) {
+  return v >= 0 && v <= std::numeric_limits<uint32_t>::max();
 }
 
-void PutStr(std::string* out, const std::string& s) {
-  PutU64(out, s.size());
-  out->append(s);
+bool InI32(int64_t v) {
+  return v >= std::numeric_limits<int32_t>::min() &&
+         v <= std::numeric_limits<int32_t>::max();
 }
-
-/// Bounds-checked sequential reader over the persisted bytes. Every getter
-/// fails with Corruption on overrun; the loader discards everything on the
-/// first non-OK.
-class Cursor {
- public:
-  explicit Cursor(const std::string& bytes) : bytes_(bytes) {}
-
-  size_t pos() const { return pos_; }
-
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > bytes_.size()) {
-      return Status::Corruption("zone map truncated");
-    }
-    uint64_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-
-  Result<int64_t> I64() {
-    DEX_ASSIGN_OR_RETURN(uint64_t v, U64());
-    return static_cast<int64_t>(v);
-  }
-
-  Result<double> F64() {
-    DEX_ASSIGN_OR_RETURN(uint64_t bits, U64());
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-
-  Result<std::string> Str() {
-    DEX_ASSIGN_OR_RETURN(uint64_t len, U64());
-    if (len > kMaxStringBytes || pos_ + len > bytes_.size()) {
-      return Status::Corruption("zone map string overruns file");
-    }
-    std::string s = bytes_.substr(pos_, len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  const std::string& bytes_;
-  size_t pos_ = 0;
-};
 
 /// The pruner handed to the reader: a snapshot of one file's zones taken
 /// under the store mutex, so concurrent zone updates (other sessions
@@ -251,7 +218,8 @@ Status ZoneMapStore::SaveIfDirty(const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!dirty_) return Status::OK();
-    out.append(kMagic, sizeof(kMagic));
+    Table records(kRecordZoneTable, MakeRecordZoneSchema());
+    Table frames(kFrameZoneTable, MakeFrameZoneSchema());
     // Deterministic bytes: uris sorted, records already ordered by id.
     std::vector<const std::pair<const std::string, FileZones>*> entries;
     entries.reserve(files_.size());
@@ -260,31 +228,35 @@ Status ZoneMapStore::SaveIfDirty(const std::string& path) {
     }
     std::sort(entries.begin(), entries.end(),
               [](const auto* a, const auto* b) { return a->first < b->first; });
-    PutU64(&out, entries.size());
+    const auto rcol = [&](size_t c) { return records.mutable_column(c); };
+    const auto fcol = [&](size_t c) { return frames.mutable_column(c); };
+    size_t num_frames = 0;
     for (const auto* kv : entries) {
       const FileZones& fz = kv->second;
-      PutStr(&out, kv->first);
-      PutU64(&out, fz.size_bytes);
-      PutI64(&out, fz.mtime_ms);
-      PutU64(&out, fz.expected_records);
-      PutU64(&out, fz.records.size());
-      for (const auto& rz : fz.records) {
-        PutI64(&out, rz.first);
-        PutF64(&out, rz.second.values.min);
-        PutF64(&out, rz.second.values.max);
-        PutF64(&out, rz.second.values.sum);
-        PutU64(&out, rz.second.values.count);
-        PutU64(&out, rz.second.frames.size());
-        for (const mseed::Steim1::FrameStat& fs : rz.second.frames) {
-          PutU64(&out, fs.first_sample);
-          PutU64(&out, fs.count);
-          PutI64(&out, fs.min);
-          PutI64(&out, fs.max);
-          PutI64(&out, fs.entry);
+      for (const auto& [record_id, zone] : fz.records) {
+        rcol(0)->AppendString(kv->first);
+        rcol(1)->AppendInt64(static_cast<int64_t>(fz.size_bytes));
+        rcol(2)->AppendInt64(fz.mtime_ms);
+        rcol(3)->AppendInt64(fz.expected_records);
+        rcol(4)->AppendInt64(record_id);
+        rcol(5)->AppendDouble(zone.values.min);
+        rcol(6)->AppendDouble(zone.values.max);
+        rcol(7)->AppendDouble(zone.values.sum);
+        rcol(8)->AppendInt64(static_cast<int64_t>(zone.values.count));
+        rcol(9)->AppendInt64(static_cast<int64_t>(zone.frames.size()));
+        for (const mseed::Steim1::FrameStat& fs : zone.frames) {
+          fcol(0)->AppendInt64(fs.first_sample);
+          fcol(1)->AppendInt64(fs.count);
+          fcol(2)->AppendInt64(fs.min);
+          fcol(3)->AppendInt64(fs.max);
+          fcol(4)->AppendInt64(fs.entry);
         }
+        num_frames += zone.frames.size();
       }
     }
-    PutU64(&out, Fnv1a(out.data(), out.size()));
+    DEX_RETURN_NOT_OK(records.CommitAppendedRows(records.column(0)->size()));
+    DEX_RETURN_NOT_OK(frames.CommitAppendedRows(num_frames));
+    out = EncodeColumnarTables({&records, &frames});
     dirty_ = false;
   }
   Status s = WriteFileAtomic(path, out);
@@ -300,69 +272,72 @@ Status ZoneMapStore::Load(const std::string& path) {
   Status read = ReadFileToString(path, &bytes);
   if (!read.ok()) return Status::OK();  // cold start: nothing persisted yet
 
-  // Parse into a staging map first; only commit when the whole file —
-  // including the checksum footer — validated. Any violation discards
-  // everything (safety ladder step 2): zones are hints, a partial restore
-  // is not worth reasoning about.
+  // Decode and check into a staging map first; only commit when the whole
+  // file validated. Any violation discards everything (safety ladder step
+  // 2): zones are hints, a partial restore is not worth reasoning about.
   std::unordered_map<std::string, FileZones> staged;
-  uint64_t records_loaded = 0;
   Status s = [&]() -> Status {
-    if (bytes.size() < sizeof(kMagic) + 8 ||
-        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-      return Status::Corruption("zone map magic mismatch");
-    }
-    const uint64_t want = Fnv1a(bytes.data(), bytes.size() - 8);
-    uint64_t got;
-    std::memcpy(&got, bytes.data() + bytes.size() - 8, 8);
-    if (want != got) return Status::Corruption("zone map checksum mismatch");
-
-    const std::string payload =
-        bytes.substr(sizeof(kMagic), bytes.size() - sizeof(kMagic) - 8);
-    Cursor body(payload);
-    DEX_ASSIGN_OR_RETURN(uint64_t num_files, body.U64());
-    if (num_files > kMaxFiles) {
-      return Status::Corruption("implausible zone map file count");
-    }
-    for (uint64_t i = 0; i < num_files; ++i) {
-      DEX_ASSIGN_OR_RETURN(std::string uri, body.Str());
-      FileZones fz;
-      DEX_ASSIGN_OR_RETURN(fz.size_bytes, body.U64());
-      DEX_ASSIGN_OR_RETURN(fz.mtime_ms, body.I64());
-      DEX_ASSIGN_OR_RETURN(uint64_t expected, body.U64());
-      fz.expected_records = static_cast<uint32_t>(expected);
-      DEX_ASSIGN_OR_RETURN(uint64_t num_records, body.U64());
-      if (num_records > kMaxRecordsPerFile) {
-        return Status::Corruption("implausible zone map record count");
+    DEX_ASSIGN_OR_RETURN(
+        std::vector<TablePtr> tables,
+        DecodeColumnarTables(bytes,
+                             {{kRecordZoneTable, MakeRecordZoneSchema()},
+                              {kFrameZoneTable, MakeFrameZoneSchema()}}));
+    const Table& records = *tables[0];
+    const Table& frames = *tables[1];
+    const auto rec = [&](size_t c) -> const Column& {
+      return *records.column(c);
+    };
+    const auto frame = [&](size_t c, size_t row) {
+      return frames.column(c)->GetInt64(row);
+    };
+    size_t next_frame = 0;
+    for (size_t row = 0; row < records.num_rows(); ++row) {
+      const int64_t expected = rec(3).GetInt64(row);
+      const int64_t n_frames = rec(9).GetInt64(row);
+      if (!InU32(expected) || n_frames < 0 ||
+          static_cast<uint64_t>(n_frames) > frames.num_rows() - next_frame) {
+        return Status::Corruption("zone map record row " +
+                                  std::to_string(row) + " out of range");
       }
-      for (uint64_t r = 0; r < num_records; ++r) {
-        DEX_ASSIGN_OR_RETURN(int64_t record_id, body.I64());
-        RecordZone zone;
-        DEX_ASSIGN_OR_RETURN(zone.values.min, body.F64());
-        DEX_ASSIGN_OR_RETURN(zone.values.max, body.F64());
-        DEX_ASSIGN_OR_RETURN(zone.values.sum, body.F64());
-        DEX_ASSIGN_OR_RETURN(zone.values.count, body.U64());
-        DEX_ASSIGN_OR_RETURN(uint64_t num_frames, body.U64());
-        if (num_frames > kMaxFramesPerRecord) {
-          return Status::Corruption("implausible zone map frame count");
-        }
-        zone.frames.resize(num_frames);
-        for (uint64_t f = 0; f < num_frames; ++f) {
-          mseed::Steim1::FrameStat& fs = zone.frames[f];
-          DEX_ASSIGN_OR_RETURN(uint64_t first, body.U64());
-          DEX_ASSIGN_OR_RETURN(uint64_t count, body.U64());
-          DEX_ASSIGN_OR_RETURN(int64_t mn, body.I64());
-          DEX_ASSIGN_OR_RETURN(int64_t mx, body.I64());
-          DEX_ASSIGN_OR_RETURN(int64_t entry, body.I64());
-          fs.first_sample = static_cast<uint32_t>(first);
-          fs.count = static_cast<uint32_t>(count);
-          fs.min = static_cast<int32_t>(mn);
-          fs.max = static_cast<int32_t>(mx);
-          fs.entry = static_cast<int32_t>(entry);
-        }
-        fz.records.emplace(record_id, std::move(zone));
-        ++records_loaded;
+      FileZones probe;
+      probe.size_bytes = static_cast<uint64_t>(rec(1).GetInt64(row));
+      probe.mtime_ms = rec(2).GetInt64(row);
+      probe.expected_records = static_cast<uint32_t>(expected);
+      auto [it, fresh] = staged.emplace(rec(0).GetString(row), probe);
+      FileZones& fz = it->second;
+      if (!fresh && (fz.size_bytes != probe.size_bytes ||
+                     fz.mtime_ms != probe.mtime_ms ||
+                     fz.expected_records != probe.expected_records)) {
+        return Status::Corruption("zone map file identity varies within '" +
+                                  it->first + "'");
       }
-      staged.emplace(std::move(uri), std::move(fz));
+      RecordZone zone;
+      zone.values.min = rec(5).GetDouble(row);
+      zone.values.max = rec(6).GetDouble(row);
+      zone.values.sum = rec(7).GetDouble(row);
+      zone.values.count = static_cast<uint64_t>(rec(8).GetInt64(row));
+      zone.frames.resize(static_cast<size_t>(n_frames));
+      for (mseed::Steim1::FrameStat& fs : zone.frames) {
+        const size_t f = next_frame++;
+        if (!InU32(frame(0, f)) || !InU32(frame(1, f)) ||
+            !InI32(frame(2, f)) || !InI32(frame(3, f)) ||
+            !InI32(frame(4, f))) {
+          return Status::Corruption("zone map frame row " +
+                                    std::to_string(f) + " out of range");
+        }
+        fs.first_sample = static_cast<uint32_t>(frame(0, f));
+        fs.count = static_cast<uint32_t>(frame(1, f));
+        fs.min = static_cast<int32_t>(frame(2, f));
+        fs.max = static_cast<int32_t>(frame(3, f));
+        fs.entry = static_cast<int32_t>(frame(4, f));
+      }
+      if (!fz.records.emplace(rec(4).GetInt64(row), std::move(zone)).second) {
+        return Status::Corruption("duplicate zone map record id in '" +
+                                  it->first + "'");
+      }
+    }
+    if (next_frame != frames.num_rows()) {
+      return Status::Corruption("zone map frame rows not owned by a record");
     }
     return Status::OK();
   }();
@@ -387,7 +362,6 @@ Status ZoneMapStore::Load(const std::string& path) {
   files_ = std::move(staged);
   persisted_loads_ = files_.size();
   dirty_ = false;
-  (void)records_loaded;
   return Status::OK();
 }
 

@@ -35,8 +35,10 @@ namespace dex {
 /// A zone map is a performance hint, never a correctness dependency:
 ///  1. FileScanned drops a file's zones when its size/mtime identity
 ///     changed (stale after rewrite).
-///  2. Persisted zone maps carry an FNV-1a checksum; any corruption or
-///     format violation discards the whole persisted set (counted, logged).
+///  2. Persisted zone maps are two checksummed columnar tables
+///     (io/columnar_file.h) whose decoded rows are checked for plausibility;
+///     any corruption, format violation or implausible row discards the
+///     whole persisted set (counted, logged).
 ///  3. Even a wrong-but-plausible frame zone is caught at decode time: the
 ///     selective Steim1 decode verifies the entry/exit integration chain
 ///     and falls back to a full decode on mismatch (PruneStats::fallbacks).
@@ -100,15 +102,20 @@ class ZoneMapStore : public StatsCollector {
 
   // Persistence ---------------------------------------------------------
 
-  /// Serializes all zones to `path` (atomic temp+rename, FNV-1a footer,
-  /// deterministic uri-sorted order). No-op when nothing changed since the
-  /// last save/load.
+  /// Writes all zones to `path` (atomic temp+rename) as two columnar
+  /// tables: ZONEMAP_RECORDS, one row per record zone (uri, size_bytes,
+  /// mtime_ms, expected_records, record_id, min, max, sum, count, n_frames;
+  /// uris sorted, records by id), and ZONEMAP_FRAMES, one row per frame stat
+  /// (first_sample, count, min, max, entry; in record order). No-op when
+  /// nothing changed since the last save/load.
   Status SaveIfDirty(const std::string& path);
 
   /// Restores zones from `path`. Missing file is OK (cold start). Any
-  /// corruption — bad magic, truncation, checksum mismatch, implausible
-  /// counts — discards the whole persisted set and returns OK: zone maps
-  /// are hints, recovery must never block opening the database.
+  /// corruption — a codec violation, n_frames not summing to the frame
+  /// rows, a record id repeated within a uri, file identity varying within
+  /// a uri, a 32-bit field out of range — discards the whole persisted set
+  /// and returns OK: zone maps are hints, recovery must never block opening
+  /// the database.
   Status Load(const std::string& path);
 
   Stats GetStats() const;

@@ -1,6 +1,7 @@
 #include "io/columnar_file.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "common/fnv.h"
 #include "storage/schema.h"
@@ -49,7 +50,7 @@ void PutStr(std::string* out, const std::string& s) {
 
 class Cursor {
  public:
-  explicit Cursor(const std::string& data) : data_(data) {}
+  explicit Cursor(std::string_view data) : data_(data) {}
 
   Status Need(size_t n) const {
     if (pos_ > data_.size() || n > data_.size() - pos_) {
@@ -83,7 +84,7 @@ class Cursor {
       return Status::Corruption("implausible string length in columnar file");
     }
     DEX_RETURN_NOT_OK(Need(n));
-    std::string s = data_.substr(pos_, n);
+    std::string s(data_.substr(pos_, n));
     pos_ += n;
     return s;
   }
@@ -96,7 +97,7 @@ class Cursor {
   const char* Here() const { return data_.data() + pos_; }
 
  private:
-  const std::string& data_;
+  std::string_view data_;
   size_t pos_ = 0;
 };
 
@@ -162,7 +163,7 @@ void EncodeStringFrame(const Column& col, size_t n, std::string* payload) {
   }
 }
 
-Status DecodeI64Frame(uint64_t encoding, const std::string& payload, size_t n,
+Status DecodeI64Frame(uint64_t encoding, std::string_view payload, size_t n,
                       Column* col) {
   Cursor cur(payload);
   if (encoding == kEncConstI64) {
@@ -190,7 +191,7 @@ Status DecodeI64Frame(uint64_t encoding, const std::string& payload, size_t n,
   return Status::OK();
 }
 
-Status DecodeF64Frame(uint64_t encoding, const std::string& payload, size_t n,
+Status DecodeF64Frame(uint64_t encoding, std::string_view payload, size_t n,
                       Column* col) {
   Cursor cur(payload);
   if (encoding == kEncConstF64) {
@@ -213,7 +214,7 @@ Status DecodeF64Frame(uint64_t encoding, const std::string& payload, size_t n,
   return Status::OK();
 }
 
-Status DecodeStringFrame(const std::string& payload, size_t n, Column* col) {
+Status DecodeStringFrame(std::string_view payload, size_t n, Column* col) {
   Cursor cur(payload);
   DEX_ASSIGN_OR_RETURN(uint64_t dict_n, cur.U64());
   if (dict_n > payload.size()) {
@@ -253,7 +254,7 @@ Status DecodeStringFrame(const std::string& payload, size_t n, Column* col) {
 /// Validates magic + header checksum and parses the header. On success the
 /// cursor is positioned at the first frame and `meta`/`table_name`/`schema`/
 /// `num_rows` are filled.
-Status ParseValidatedHeader(const std::string& bytes, Cursor* cur,
+Status ParseValidatedHeader(std::string_view bytes, Cursor* cur,
                             ColumnarFileMeta* meta, std::string* table_name,
                             SchemaPtr* schema, uint64_t* num_rows) {
   if (bytes.size() < sizeof(kMagic) ||
@@ -299,6 +300,77 @@ Status ParseValidatedHeader(const std::string& bytes, Cursor* cur,
   *schema = std::move(s);
   if (meta != nullptr) *meta = std::move(m);
   return Status::OK();
+}
+
+/// Decodes the one table that starts at `bytes[0]` and sets `*end` to the
+/// offset just past its end marker. Whatever follows is the caller's.
+Result<TablePtr> DecodeOneTable(std::string_view bytes, ColumnarFileMeta* meta,
+                                size_t* end) {
+  Cursor cur(bytes);
+  std::string table_name;
+  SchemaPtr schema;
+  uint64_t num_rows = 0;
+  DEX_RETURN_NOT_OK(
+      ParseValidatedHeader(bytes, &cur, meta, &table_name, &schema, &num_rows));
+
+  // Validate every frame checksum before materializing anything: a decode
+  // must be all-or-nothing, never partially trusted rows.
+  auto table = std::make_shared<Table>(table_name, schema);
+  for (size_t c = 0; c < static_cast<size_t>(schema->num_fields()); ++c) {
+    DEX_ASSIGN_OR_RETURN(uint64_t encoding, cur.U64());
+    DEX_ASSIGN_OR_RETURN(uint64_t payload_bytes, cur.U64());
+    if (payload_bytes > bytes.size()) {
+      return Status::Corruption("implausible frame length");
+    }
+    DEX_RETURN_NOT_OK(cur.Need(payload_bytes));
+    const std::string_view payload = bytes.substr(cur.pos(), payload_bytes);
+    DEX_RETURN_NOT_OK(cur.Skip(payload_bytes));
+    DEX_ASSIGN_OR_RETURN(uint64_t got, cur.U64());
+    if (got != Fnv1a(payload.data(), payload.size())) {
+      return Status::Corruption("frame checksum mismatch in column '" +
+                                schema->field(c).name + "'");
+    }
+    Column* col = table->mutable_column(c);
+    switch (schema->field(c).type) {
+      case DataType::kDouble:
+        DEX_RETURN_NOT_OK(DecodeF64Frame(encoding, payload, num_rows, col));
+        break;
+      case DataType::kString:
+        if (encoding != kEncString) {
+          return Status::Corruption("string column with non-string encoding");
+        }
+        DEX_RETURN_NOT_OK(DecodeStringFrame(payload, num_rows, col));
+        break;
+      default:
+        DEX_RETURN_NOT_OK(DecodeI64Frame(encoding, payload, num_rows, col));
+        break;
+    }
+  }
+
+  const uint64_t want = Fnv1a(bytes.data(), cur.pos());
+  DEX_ASSIGN_OR_RETURN(uint64_t got, cur.U64());
+  if (want != got) {
+    return Status::Corruption("columnar file footer checksum mismatch");
+  }
+  DEX_RETURN_NOT_OK(cur.Need(sizeof(kEndMark)));
+  if (std::memcmp(cur.Here(), kEndMark, sizeof(kEndMark)) != 0) {
+    return Status::Corruption("columnar file end marker missing");
+  }
+  DEX_RETURN_NOT_OK(table->CommitAppendedRows(num_rows));
+  *end = cur.pos() + sizeof(kEndMark);
+  return table;
+}
+
+bool SameSchema(const Schema& a, const Schema& b) {
+  if (a.num_fields() != b.num_fields()) return false;
+  for (size_t i = 0; i < a.num_fields(); ++i) {
+    const Field& x = a.field(i);
+    const Field& y = b.field(i);
+    if (x.name != y.name || x.type != y.type || x.qualifier != y.qualifier) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -355,7 +427,7 @@ std::string EncodeColumnarFile(const Table& table,
   return out;
 }
 
-Status PeekColumnarMeta(const std::string& bytes, ColumnarFileMeta* meta) {
+Status PeekColumnarMeta(std::string_view bytes, ColumnarFileMeta* meta) {
   Cursor cur(bytes);
   std::string table_name;
   SchemaPtr schema;
@@ -364,61 +436,44 @@ Status PeekColumnarMeta(const std::string& bytes, ColumnarFileMeta* meta) {
                               &num_rows);
 }
 
-Result<TablePtr> DecodeColumnarFile(const std::string& bytes,
+Result<TablePtr> DecodeColumnarFile(std::string_view bytes,
                                     ColumnarFileMeta* meta) {
-  Cursor cur(bytes);
-  std::string table_name;
-  SchemaPtr schema;
-  uint64_t num_rows = 0;
-  DEX_RETURN_NOT_OK(
-      ParseValidatedHeader(bytes, &cur, meta, &table_name, &schema, &num_rows));
-
-  // Validate every frame checksum before materializing anything: a decode
-  // must be all-or-nothing, never partially trusted rows.
-  auto table = std::make_shared<Table>(table_name, schema);
-  for (size_t c = 0; c < static_cast<size_t>(schema->num_fields()); ++c) {
-    DEX_ASSIGN_OR_RETURN(uint64_t encoding, cur.U64());
-    DEX_ASSIGN_OR_RETURN(uint64_t payload_bytes, cur.U64());
-    if (payload_bytes > bytes.size()) {
-      return Status::Corruption("implausible frame length");
-    }
-    DEX_RETURN_NOT_OK(cur.Need(payload_bytes));
-    const std::string payload = bytes.substr(cur.pos(), payload_bytes);
-    DEX_RETURN_NOT_OK(cur.Skip(payload_bytes));
-    DEX_ASSIGN_OR_RETURN(uint64_t got, cur.U64());
-    if (got != Fnv1a(payload.data(), payload.size())) {
-      return Status::Corruption("frame checksum mismatch in column '" +
-                                schema->field(c).name + "'");
-    }
-    Column* col = table->mutable_column(c);
-    switch (schema->field(c).type) {
-      case DataType::kDouble:
-        DEX_RETURN_NOT_OK(DecodeF64Frame(encoding, payload, num_rows, col));
-        break;
-      case DataType::kString:
-        if (encoding != kEncString) {
-          return Status::Corruption("string column with non-string encoding");
-        }
-        DEX_RETURN_NOT_OK(DecodeStringFrame(payload, num_rows, col));
-        break;
-      default:
-        DEX_RETURN_NOT_OK(DecodeI64Frame(encoding, payload, num_rows, col));
-        break;
-    }
+  size_t end = 0;
+  DEX_ASSIGN_OR_RETURN(TablePtr table, DecodeOneTable(bytes, meta, &end));
+  if (end != bytes.size()) {
+    return Status::Corruption("trailing bytes after columnar file end marker");
   }
-
-  const uint64_t want = Fnv1a(bytes.data(), cur.pos());
-  DEX_ASSIGN_OR_RETURN(uint64_t got, cur.U64());
-  if (want != got) {
-    return Status::Corruption("columnar file footer checksum mismatch");
-  }
-  DEX_RETURN_NOT_OK(cur.Need(sizeof(kEndMark)));
-  if (std::memcmp(cur.Here(), kEndMark, sizeof(kEndMark)) != 0 ||
-      cur.pos() + sizeof(kEndMark) != bytes.size()) {
-    return Status::Corruption("columnar file end marker missing or trailing bytes");
-  }
-  DEX_RETURN_NOT_OK(table->CommitAppendedRows(num_rows));
   return table;
+}
+
+std::string EncodeColumnarTables(const std::vector<const Table*>& tables) {
+  std::string out;
+  for (const Table* table : tables) out += EncodeColumnarFile(*table, {});
+  return out;
+}
+
+Result<std::vector<TablePtr>> DecodeColumnarTables(
+    std::string_view bytes, const std::vector<ColumnarTableSpec>& expected) {
+  std::vector<TablePtr> tables;
+  tables.reserve(expected.size());
+  for (const ColumnarTableSpec& spec : expected) {
+    size_t end = 0;
+    DEX_ASSIGN_OR_RETURN(TablePtr table,
+                         DecodeOneTable(bytes, nullptr, &end));
+    if (table->name() != spec.name ||
+        !SameSchema(*table->schema(), *spec.schema)) {
+      return Status::Corruption("expected table '" + spec.name + "' with " +
+                                spec.schema->ToString() + ", found '" +
+                                table->name() + "' with " +
+                                table->schema()->ToString());
+    }
+    tables.push_back(std::move(table));
+    bytes.remove_prefix(end);
+  }
+  if (!bytes.empty()) {
+    return Status::Corruption("trailing bytes after the last columnar table");
+  }
+  return tables;
 }
 
 }  // namespace dex

@@ -3,14 +3,18 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/table.h"
 
 namespace dex {
 
-/// \brief Compact, checksummed on-disk serialization of one cached partial
-/// table — the unit of the persistent columnar cache.
+/// \brief Compact, checksummed on-disk serialization of tables: the only
+/// binary codec for the engine's durable state. A cache entry is one table;
+/// the metadata snapshot, the zone maps and the cache manifest are
+/// multi-table files.
 ///
 /// Layout (all integers little-endian):
 ///
@@ -24,6 +28,11 @@ namespace dex {
 ///   frames       one per column: encoding id, payload length, payload,
 ///                u64 FNV-1a frame checksum of the payload
 ///   footer       u64 FNV-1a of every byte above + "DXCOLEND"
+///
+/// A multi-table file is a sequence of complete tables, each encoded exactly
+/// as a single-table file with empty meta. Each table's header, frame and
+/// footer checksums are computed from that table's own first byte, and
+/// nothing may follow the last table's end marker.
 ///
 /// Frame encodings keep the file compact relative to the decoded in-memory
 /// footprint: constant runs collapse to one value (the uri column of a
@@ -55,13 +64,29 @@ std::string EncodeColumnarFile(const Table& table, const ColumnarFileMeta& meta)
 /// table and fills `meta` (if non-null). Any integrity violation — bad magic,
 /// version mismatch, truncation, checksum failure, implausible structure —
 /// returns Status::Corruption.
-Result<TablePtr> DecodeColumnarFile(const std::string& bytes,
+Result<TablePtr> DecodeColumnarFile(std::string_view bytes,
                                     ColumnarFileMeta* meta);
 
 /// Cheap header-only peek: validates magic + header checksum and fills
 /// `meta` without touching the frames. Used by recovery to report what a
 /// corrupt-beyond-the-header file claimed to be.
-Status PeekColumnarMeta(const std::string& bytes, ColumnarFileMeta* meta);
+Status PeekColumnarMeta(std::string_view bytes, ColumnarFileMeta* meta);
+
+/// Serializes `tables`, in order, into one multi-table file.
+std::string EncodeColumnarTables(const std::vector<const Table*>& tables);
+
+/// The name and schema a multi-table file must hold at one position.
+struct ColumnarTableSpec {
+  std::string name;
+  SchemaPtr schema;
+};
+
+/// Parses a multi-table file that must hold exactly one table per `expected`
+/// spec, in order, with that name and schema (field names, types and
+/// qualifiers). A missing, extra or mismatching table, trailing bytes, or
+/// any single-table integrity violation returns Status::Corruption.
+Result<std::vector<TablePtr>> DecodeColumnarTables(
+    std::string_view bytes, const std::vector<ColumnarTableSpec>& expected);
 
 }  // namespace dex
 

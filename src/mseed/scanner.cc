@@ -34,8 +34,6 @@ Result<ScanResult> ScanFile(const std::string& uri) {
     rm.end_time_ms = info.header.EndTimeMs();
     rm.sample_rate_hz = info.header.sample_rate_hz;
     rm.num_samples = info.header.num_samples;
-    rm.data_offset = info.data_offset;
-    rm.data_bytes = info.header.data_bytes;
     out.records.push_back(std::move(rm));
   }
   return out;

@@ -30,8 +30,6 @@ struct RecordMeta {
   int64_t end_time_ms = 0;
   double sample_rate_hz = 0.0;
   uint32_t num_samples = 0;
-  uint64_t data_offset = 0;   // byte offset of the Steim payload (for mounts)
-  uint32_t data_bytes = 0;
 };
 
 /// \brief The scanner's output: everything the metadata stage needs.

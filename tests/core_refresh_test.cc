@@ -91,6 +91,8 @@ TEST(RefreshTest, NewFilesBecomeQueryable) {
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_EQ(refreshed->files_added, 1u);
   EXPECT_EQ(refreshed->files_removed, 0u);
+  EXPECT_EQ(refreshed->files_scanned, 1u);  // only the new file is parsed
+  EXPECT_EQ(refreshed->files_reused, static_cast<size_t>(files_before));
 
   auto after = (*db)->Query("SELECT COUNT(*) FROM F");
   ASSERT_TRUE(after.ok());
@@ -115,6 +117,8 @@ TEST(RefreshTest, RemovedFilesDropOutOfMetadata) {
   auto refreshed = (*db)->Refresh();
   ASSERT_TRUE(refreshed.ok());
   EXPECT_EQ(refreshed->files_removed, 1u);
+  EXPECT_EQ(refreshed->files_scanned, 0u);
+  EXPECT_EQ(refreshed->files_reused, files->size() - 1);
   auto count = (*db)->Query("SELECT COUNT(*) FROM F");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->table->GetValue(0, 0).int64(),
@@ -188,6 +192,28 @@ TEST(RefreshTest, RewrittenFileDropsStaleDerivedPruningStats) {
   ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
   EXPECT_EQ(pruned->table->GetValue(0, 0).int64(),
             expect->table->GetValue(0, 0).int64());
+}
+
+TEST(RefreshTest, RefreshRewritesSnapshotForTheNextOpen) {
+  ScopedRepo repo("refresh_snapshot", TinyRepoOptions());
+  DatabaseOptions opts;
+  opts.metadata_snapshot_path = repo.root() + "/.metadata.snap";
+  {
+    auto db = Database::Open(repo.root(), opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE(mseed::WriteFile(repo.root() + "/NEW/OR.NEW.BHE.000.mseed",
+                                 {NewRecord("NEWSTA", 1262304000000LL, 50)})
+                    .ok());
+    auto refreshed = (*db)->Refresh();
+    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+    ASSERT_EQ(refreshed->files_added, 1u);
+  }
+  // Every file the refresh scanned, the new one included, comes back from
+  // the snapshot without a header parse.
+  auto reopened = Database::Open(repo.root(), opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->open_stats().snapshot_files_reused,
+            (*reopened)->open_stats().num_files);
 }
 
 TEST(RefreshTest, NoChangesIsCleanNoop) {

@@ -1,13 +1,12 @@
 // Tests for the "instant-on" metadata snapshot: serialization roundtrip,
-// corruption detection, reconciliation against a changed repository, and the
-// Database-level integration.
+// corruption detection, and the Database-level integration (reconciliation
+// against a changed repository runs through Database::Open).
 
 #include "core/metadata_snapshot.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
+#include "common/fnv.h"
 #include "core/database.h"
 #include "mseed/writer.h"
 #include "test_util.h"
@@ -44,7 +43,6 @@ TEST(SnapshotTest, SaveLoadRoundtrip) {
     EXPECT_EQ(loaded->records[i].uri, scan.records[i].uri);
     EXPECT_EQ(loaded->records[i].start_time_ms, scan.records[i].start_time_ms);
     EXPECT_EQ(loaded->records[i].num_samples, scan.records[i].num_samples);
-    EXPECT_EQ(loaded->records[i].data_offset, scan.records[i].data_offset);
   }
 }
 
@@ -85,11 +83,10 @@ TEST(SnapshotTest, BitFlipAnywhereIsDetected) {
   std::string data;
   ASSERT_TRUE(ReadFileToString(path, &data).ok());
   ASSERT_TRUE(LoadSnapshot(path).ok());
-  // Flip one bit at a sweep of offsets covering the whole payload including
-  // the trailing checksum itself. Every single flip must be rejected — this
-  // is exactly what the per-field length checks alone could NOT guarantee.
-  const size_t step = std::max<size_t>(1, data.size() / 97);
-  for (size_t off = 0; off < data.size(); off += step) {
+  // Flip one bit at every offset, checksums included. Every single flip
+  // must be rejected — this is exactly what per-field length checks alone
+  // could NOT guarantee.
+  for (size_t off = 0; off < data.size(); ++off) {
     std::string bad = data;
     bad[off] = static_cast<char>(bad[off] ^ 0x10);
     ASSERT_TRUE(WriteStringToFile(path, bad).ok());
@@ -104,25 +101,58 @@ TEST(SnapshotTest, TruncationAtEveryLengthIsDetected) {
   ASSERT_TRUE(SaveSnapshot(ScanOf(repo.root()), path).ok());
   std::string data;
   ASSERT_TRUE(ReadFileToString(path, &data).ok());
-  const size_t step = std::max<size_t>(1, data.size() / 97);
-  for (size_t len = 0; len < data.size(); len += step) {
+  for (size_t len = 0; len < data.size(); ++len) {
     ASSERT_TRUE(WriteStringToFile(path, data.substr(0, len)).ok());
     EXPECT_FALSE(LoadSnapshot(path).ok())
         << "truncation to " << len << " bytes was not detected";
   }
 }
 
+/// Encodes `scan` in the retired pre-columnar snapshot format: magic
+/// "DXSNAP02", counts, length-prefixed fields, FNV-1a footer.
+std::string EncodeDxsnap02(const mseed::ScanResult& scan) {
+  std::string out = "DXSNAP02";
+  const auto u64 = [&](uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const auto str = [&](const std::string& v) {
+    u64(v.size());
+    out += v;
+  };
+  u64(scan.files.size());
+  u64(scan.records.size());
+  u64(scan.total_bytes);
+  for (const mseed::FileMeta& f : scan.files) {
+    for (const std::string* v :
+         {&f.uri, &f.network, &f.station, &f.channel, &f.location}) {
+      str(*v);
+    }
+    u64(f.size_bytes);
+    u64(static_cast<uint64_t>(f.mtime_ms));
+    u64(f.num_records);
+  }
+  for (const mseed::RecordMeta& r : scan.records) {
+    str(r.uri);
+    u64(static_cast<uint64_t>(r.record_id));
+    u64(static_cast<uint64_t>(r.start_time_ms));
+    u64(static_cast<uint64_t>(r.end_time_ms));
+    double rate = r.sample_rate_hz;
+    out.append(reinterpret_cast<const char*>(&rate), sizeof(rate));
+    u64(r.num_samples);
+    u64(0);  // data_offset
+    u64(0);  // data_bytes
+  }
+  u64(Fnv1a(out.data(), out.size()));
+  return out;
+}
+
 TEST(SnapshotTest, V1SnapshotRejectedAsStale) {
-  // A previous-format snapshot (magic DXSNAP01, no trailing checksum) must
-  // be rejected — Database::Open then falls back to a clean full rescan and
-  // rewrites the snapshot in the current format.
+  // A snapshot in the retired DXSNAP02 format must be rejected — never
+  // misparsed — and Database::Open then falls back to a clean full rescan
+  // and rewrites the snapshot in the current format.
   ScopedRepo repo("snapshot_v1", TinyRepoOptions());
   const std::string path = repo.root() + "/meta.snap";
-  ASSERT_TRUE(SaveSnapshot(ScanOf(repo.root()), path).ok());
-  std::string data;
-  ASSERT_TRUE(ReadFileToString(path, &data).ok());
-  data[7] = '1';  // "DXSNAP02" -> "DXSNAP01"
-  ASSERT_TRUE(WriteStringToFile(path, data).ok());
+  ASSERT_TRUE(WriteStringToFile(path, EncodeDxsnap02(ScanOf(repo.root()))).ok());
   EXPECT_TRUE(LoadSnapshot(path).status().IsCorruption());
 
   DatabaseOptions opts;
@@ -130,50 +160,9 @@ TEST(SnapshotTest, V1SnapshotRejectedAsStale) {
   auto db = Database::Open(repo.root(), opts);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ((*db)->open_stats().snapshot_files_reused, 0u);  // full rescan
-  auto reloaded = LoadSnapshot(path);  // rewritten in the v2 format
+  auto reloaded = LoadSnapshot(path);  // rewritten in the current format
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded->files.size(), (*db)->open_stats().num_files);
-}
-
-TEST(SnapshotTest, ReconcileReusesUnchangedFiles) {
-  ScopedRepo repo("snapshot_reconcile", TinyRepoOptions());
-  const mseed::ScanResult baseline = ScanOf(repo.root());
-  MseedAdapter format;
-  ReconcileStats stats;
-  auto current = ReconcileScan(repo.root(), &format, baseline, &stats);
-  ASSERT_TRUE(current.ok()) << current.status().ToString();
-  EXPECT_EQ(stats.files_reused, baseline.files.size());
-  EXPECT_EQ(stats.files_rescanned, 0u);
-  EXPECT_EQ(stats.files_dropped, 0u);
-  EXPECT_EQ(current->records.size(), baseline.records.size());
-}
-
-TEST(SnapshotTest, ReconcilePicksUpNewAndRemovedFiles) {
-  ScopedRepo repo("snapshot_churn", TinyRepoOptions());
-  const mseed::ScanResult baseline = ScanOf(repo.root());
-  // Remove one file, add another.
-  auto files = ListFiles(repo.root(), ".mseed");
-  ASSERT_TRUE(files.ok());
-  ASSERT_TRUE(RemoveDirRecursive((*files)[0]).ok());
-  mseed::RecordData rec;
-  rec.network = "OR";
-  rec.station = "ADD";
-  rec.channel = "BHE";
-  rec.location = "00";
-  rec.start_time_ms = 0;
-  rec.sample_rate_hz = 1.0;
-  rec.samples = {1, 2, 3};
-  ASSERT_TRUE(
-      mseed::WriteFile(repo.root() + "/ADD/new.mseed", {rec}).ok());
-
-  MseedAdapter format;
-  ReconcileStats stats;
-  auto current = ReconcileScan(repo.root(), &format, baseline, &stats);
-  ASSERT_TRUE(current.ok());
-  EXPECT_EQ(stats.files_reused, baseline.files.size() - 1);
-  EXPECT_EQ(stats.files_rescanned, 1u);  // the new file
-  EXPECT_EQ(stats.files_dropped, 1u);
-  EXPECT_EQ(current->files.size(), baseline.files.size());
 }
 
 TEST(SnapshotTest, DatabaseInstantOnReusesSnapshot) {

@@ -185,5 +185,81 @@ TEST(ColumnarFile, PeekReadsHeaderWithoutFrames) {
   EXPECT_FALSE(PeekColumnarMeta(bad, &got).ok());
 }
 
+// -- Multi-table files -------------------------------------------------------
+
+// A two-table file whose second table is empty, plus the specs that decode it.
+struct TwoTables {
+  TablePtr full = MakeMixedTable(30);
+  TablePtr empty = std::make_shared<Table>("E", MakeMixedSchema());
+  std::vector<ColumnarTableSpec> specs = {{"D", MakeMixedSchema()},
+                                          {"E", MakeMixedSchema()}};
+  std::string bytes;
+
+  TwoTables() {
+    EXPECT_TRUE(empty->CommitAppendedRows(0).ok());
+    bytes = EncodeColumnarTables({full.get(), empty.get()});
+  }
+};
+
+TEST(ColumnarFile, MultiTableRoundtripsWithAnEmptyTable) {
+  const TwoTables t;
+  // Each table is encoded exactly as a single-table file with empty meta.
+  EXPECT_EQ(t.bytes,
+            EncodeColumnarFile(*t.full, {}) + EncodeColumnarFile(*t.empty, {}));
+  auto decoded = DecodeColumnarTables(t.bytes, t.specs);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), 2u);
+  EXPECT_EQ((*decoded)[0]->name(), "D");
+  ExpectTablesEqual(*t.full, *(*decoded)[0]);
+  EXPECT_EQ((*decoded)[1]->name(), "E");
+  EXPECT_EQ((*decoded)[1]->num_rows(), 0u);
+  EXPECT_EQ((*decoded)[1]->num_columns(), t.empty->num_columns());
+}
+
+TEST(ColumnarFile, MultiTableTruncationAndBitFlipAreCorruption) {
+  const TwoTables t;
+  for (size_t len = 0; len < t.bytes.size(); ++len) {
+    auto decoded = DecodeColumnarTables(t.bytes.substr(0, len), t.specs);
+    ASSERT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded";
+    EXPECT_TRUE(decoded.status().IsCorruption()) << len;
+  }
+  for (size_t off = 0; off < t.bytes.size(); ++off) {
+    std::string bad = t.bytes;
+    bad[off] = static_cast<char>(bad[off] ^ 0x04);
+    auto decoded = DecodeColumnarTables(bad, t.specs);
+    EXPECT_TRUE(decoded.status().IsCorruption())
+        << "bit flip at " << off << " decoded";
+  }
+}
+
+TEST(ColumnarFile, MultiTableRejectsMissingExtraMismatchedAndTrailing) {
+  const TwoTables t;
+  const std::string first = EncodeColumnarFile(*t.full, {});
+  const std::string second = EncodeColumnarFile(*t.empty, {});
+  ASSERT_EQ(t.bytes, first + second);
+  // Cut exactly at the table boundary: the first table is intact.
+  EXPECT_TRUE(
+      DecodeColumnarTables(first, t.specs).status().IsCorruption());
+  // An extra complete table after the expected ones.
+  EXPECT_TRUE(DecodeColumnarTables(t.bytes + second, t.specs)
+                  .status()
+                  .IsCorruption());
+  // Trailing bytes after the last end marker.
+  EXPECT_TRUE(
+      DecodeColumnarTables(t.bytes + "x", t.specs).status().IsCorruption());
+  // Tables in the wrong order, and a schema that differs in one qualifier.
+  EXPECT_TRUE(DecodeColumnarTables(second + first, t.specs)
+                  .status()
+                  .IsCorruption());
+  auto other_schema = MakeMixedSchema();
+  std::vector<Field> fields = other_schema->fields();
+  fields[0].qualifier = "E";
+  EXPECT_TRUE(
+      DecodeColumnarTables(t.bytes, {t.specs[0],
+                                     {"E", std::make_shared<Schema>(fields)}})
+          .status()
+          .IsCorruption());
+}
+
 }  // namespace
 }  // namespace dex

@@ -63,14 +63,14 @@ BENCHMARK(BM_Steim2Decode)->Arg(86400);
 
 void BM_MountTransform(benchmark::State& state) {
   // Extract+transform one decoded record into D-schema columns.
-  mseed::DecodedRecord rec;
-  rec.samples = Waveform(static_cast<size_t>(state.range(0)));
-  rec.header.sample_rate_hz = 1.0;
-  rec.header.start_time_ms = 0;
+  std::vector<mseed::DecodedRecord> records(1);
+  records[0].samples = Waveform(static_cast<size_t>(state.range(0)));
+  records[0].header.sample_rate_hz = 1.0;
+  records[0].header.start_time_ms = 0;
   for (auto _ : state) {
     Table table("D", MakeDataSchema());
     benchmark::DoNotOptimize(
-        AppendSamplesToDataTable("/repo/f.mseed", 0, rec, &table));
+        AppendSamplesToDataTable("/repo/f.mseed", records, &table));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

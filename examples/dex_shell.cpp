@@ -139,14 +139,17 @@ void PrintQueryStats(const dex::QueryStats& stats, bool verbose) {
   if (verbose) {
     const auto& ex = ts.exec;
     if (ex.kernel_filter_batches > 0 || ex.kernel_agg_batches > 0 ||
-        ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0) {
+        ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0 ||
+        ex.join_key_resolutions > 0) {
       std::printf("   kernels: filter %llu vec / %llu scalar, "
-                  "agg %llu vec / %llu scalar, %llu compactions\n",
+                  "agg %llu vec / %llu scalar, %llu compactions, "
+                  "%llu join key resolutions\n",
                   static_cast<unsigned long long>(ex.kernel_filter_batches),
                   static_cast<unsigned long long>(ex.scalar_filter_batches),
                   static_cast<unsigned long long>(ex.kernel_agg_batches),
                   static_cast<unsigned long long>(ex.scalar_agg_batches),
-                  static_cast<unsigned long long>(ex.selection_compactions));
+                  static_cast<unsigned long long>(ex.selection_compactions),
+                  static_cast<unsigned long long>(ex.join_key_resolutions));
     }
     for (const std::string& w : stats.warnings) {
       std::printf("   warning: %s\n", w.c_str());

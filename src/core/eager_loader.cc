@@ -41,15 +41,18 @@ Result<EagerLoadStats> EagerLoader::LoadAll(const mseed::ScanResult& scan,
   // Actual data: read + decompress + explicitly materialize every sample.
   const uint64_t t1 = NowNanos();
   auto d_table = std::make_shared<Table>(kDataTableName, MakeDataSchema());
+  // R already knows every record's sample count: reserve D once for the
+  // whole repository instead of growing it row by row across the files.
+  uint64_t total_samples = 0;
+  for (const mseed::RecordMeta& r : scan.records) total_samples += r.num_samples;
+  ReserveDataRows(d_table.get(), static_cast<size_t>(total_samples));
   for (const mseed::FileMeta& file : scan.files) {
     // Reading the repository charges the simulated medium.
     DEX_RETURN_NOT_OK(registry->ChargeFileRead(file.uri));
     DEX_ASSIGN_OR_RETURN(std::vector<mseed::DecodedRecord> records,
                          format->ReadAllRecords(file.uri));
-    for (size_t i = 0; i < records.size(); ++i) {
-      DEX_RETURN_NOT_OK(AppendSamplesToDataTable(
-          file.uri, static_cast<int64_t>(i), records[i], d_table.get()));
-    }
+    DEX_RETURN_NOT_OK(
+        AppendSamplesToDataTable(file.uri, records, d_table.get()));
   }
   stats.rows_loaded = d_table->num_rows();
   DEX_RETURN_NOT_OK(catalog->AddTable(d_table, TableKind::kActual));

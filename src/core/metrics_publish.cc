@@ -84,6 +84,7 @@ void PublishQueryMetrics(const QueryStats& stats,
   m.AddCounter("exec.mounted_rows", ex.mounted_rows);
   m.AddCounter("exec.cache_scans", ex.cache_scans);
   m.AddCounter("exec.index_probes", ex.index_probes);
+  m.AddCounter("exec.join_key_resolutions", ex.join_key_resolutions);
 
   // Vectorized-kernel coverage: batches on the branchless SIMD path vs.
   // scalar-interpreter fallbacks, and boundary compactions.

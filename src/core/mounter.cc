@@ -194,10 +194,9 @@ Result<TablePtr> Mounter::Mount(const std::string& table_name,
   // budget and the sharded gather's network charge, both under the
   // pruning-cannot-move-the-ledger contract.
   table->mutable_column(0)->dict()->Intern(uri);
+  DEX_RETURN_NOT_OK(AppendSamplesToDataTable(uri, decoded, table.get()));
   for (size_t i = 0; i < decoded.size(); ++i) {
     const mseed::DecodedRecord& rec = decoded[i];
-    DEX_RETURN_NOT_OK(AppendSamplesToDataTable(uri, static_cast<int64_t>(i), rec,
-                                               table.get()));
     if (outcome != nullptr) {
       if (!rec.sparse || !rec.samples.empty()) {
         outcome->counters.records_decoded += 1;  // zone-skipped don't count

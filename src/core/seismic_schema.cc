@@ -1,5 +1,7 @@
 #include "core/seismic_schema.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "mseed/reader.h"
 
@@ -108,30 +110,55 @@ mseed::ScanResult ScanResultFromTables(const Table& f_table,
   return out;
 }
 
-Status AppendSamplesToDataTable(const std::string& uri, int64_t record_id,
-                                const mseed::DecodedRecord& record,
+void ReserveDataRows(Table* data_table, size_t n) {
+  DEX_CHECK(data_table != nullptr);
+  for (size_t c = 0; c < data_table->num_columns(); ++c) {
+    data_table->mutable_column(c)->Reserve(n);
+  }
+}
+
+Status AppendSamplesToDataTable(const std::string& uri,
+                                const std::vector<mseed::DecodedRecord>& records,
                                 Table* data_table) {
   DEX_CHECK(data_table != nullptr);
-  const size_t n = record.samples.size();
-  Column* uri_col = data_table->mutable_column(0);
+  size_t total = 0;
+  for (const mseed::DecodedRecord& rec : records) total += rec.samples.size();
+  // One exact reservation per file, made on a fresh table (a mount). A table
+  // that already holds rows (the eager load) was reserved by its caller for
+  // the whole scan, and past that the vectors keep growing geometrically;
+  // exact per-file reservations there would turn the load quadratic.
+  if (data_table->num_rows() == 0) ReserveDataRows(data_table, total);
+  data_table->mutable_column(0)->AppendRepeatedString(uri, total);
   Column* rec_col = data_table->mutable_column(1);
   Column* time_col = data_table->mutable_column(2);
   Column* value_col = data_table->mutable_column(3);
-  // No exact-size Reserve here: repeated exact reservations defeat the
-  // vectors' geometric growth and turn bulk loads quadratic.
-  const double rate = record.header.sample_rate_hz;
-  const int64_t t0 = record.header.start_time_ms;
-  for (size_t i = 0; i < n; ++i) {
-    // A sparsely decoded record (zone-map frame skip) carries the original
-    // sample index alongside each value, so sample_time stays exact.
-    const size_t idx = record.sparse ? record.sample_index[i] : i;
-    uri_col->AppendString(uri);
-    rec_col->AppendInt64(record_id);
-    time_col->AppendInt64(
-        t0 + static_cast<int64_t>(static_cast<double>(idx) * 1000.0 / rate));
-    value_col->AppendDouble(static_cast<double>(record.samples[i]));
+  for (size_t r = 0; r < records.size(); ++r) {
+    const mseed::DecodedRecord& rec = records[r];
+    const size_t n = rec.samples.size();
+    int64_t* ids = rec_col->AppendInt64Cells(n);
+    std::fill(ids, ids + n, static_cast<int64_t>(r));
+    const double rate = rec.header.sample_rate_hz;
+    const int64_t t0 = rec.header.start_time_ms;
+    int64_t* times = time_col->AppendInt64Cells(n);
+    if (rec.sparse) {
+      // A sparsely decoded record (zone-map frame skip) carries the original
+      // sample index alongside each value, so sample_time stays exact.
+      for (size_t i = 0; i < n; ++i) {
+        times[i] = t0 + static_cast<int64_t>(
+                            static_cast<double>(rec.sample_index[i]) * 1000.0 /
+                            rate);
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        times[i] =
+            t0 + static_cast<int64_t>(static_cast<double>(i) * 1000.0 / rate);
+      }
+    }
+    double* values = value_col->AppendDoubleCells(n);
+    const int32_t* samples = rec.samples.data();
+    for (size_t i = 0; i < n; ++i) values[i] = static_cast<double>(samples[i]);
   }
-  return data_table->CommitAppendedRows(n);
+  return data_table->CommitAppendedRows(total);
 }
 
 }  // namespace dex

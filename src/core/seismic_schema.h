@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "mseed/reader.h"
@@ -41,10 +42,14 @@ Result<TablePtr> BuildRecordTable(const mseed::ScanResult& scan);
 mseed::ScanResult ScanResultFromTables(const Table& f_table,
                                        const Table& r_table);
 
-/// \brief Appends one decoded record's samples to a D-schema table.
-/// `record_id` is the record's index within its file.
-Status AppendSamplesToDataTable(const std::string& uri, int64_t record_id,
-                                const mseed::DecodedRecord& record,
+/// \brief Reserves each column of a D-schema table for `n` rows in total.
+void ReserveDataRows(Table* data_table, size_t n);
+
+/// \brief Appends one file's decoded records to a D-schema table. Record
+/// `i` of `records` gets record_id `i` (its index within the file). On an
+/// empty table the columns are reserved once at the file's sample total.
+Status AppendSamplesToDataTable(const std::string& uri,
+                                const std::vector<mseed::DecodedRecord>& records,
                                 Table* data_table);
 
 }  // namespace dex

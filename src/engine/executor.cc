@@ -523,8 +523,10 @@ class HashJoinOp : public PhysOp {
     }
     std::vector<uint32_t> perm(n);
     for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
+    // Ties keep build-row order, so a probe row's matches come out in the
+    // order a nested-loop join would emit them.
     std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-      return hashes_[a] < hashes_[b];
+      return hashes_[a] != hashes_[b] ? hashes_[a] < hashes_[b] : a < b;
     });
     std::vector<uint64_t> sorted_hashes(n);
     std::vector<uint32_t> sorted_rows(n);
@@ -557,7 +559,12 @@ class HashJoinOp : public PhysOp {
             build_rows.push_back(static_cast<uint32_t>(j));
           }
         }
+      } else if (probe_keys.size() == 1 &&
+                 probe_keys[0]->type() == DataType::kString &&
+                 build_keys_[0]->type() == DataType::kString) {
+        ProbeByDictionary(*probe_keys[0], &probe_rows, &build_rows);
       } else {
+        ctx_->stats.join_key_resolutions += in.num_rows();
         for (size_t i = 0; i < in.num_rows(); ++i) {
           const uint64_t h = HashKeyRow(probe_keys, i);
           auto it = std::lower_bound(hashes_.begin(), hashes_.end(), h);
@@ -580,10 +587,17 @@ class HashJoinOp : public PhysOp {
       if (probe_rows.empty()) continue;
       Batch joined;
       joined.schema = schema_;
-      for (const ColumnPtr& c : in.columns) {
-        auto col = std::make_shared<Column>(c->type());
-        col->AppendGather(*c, probe_rows);
-        joined.columns.push_back(std::move(col));
+      if (IsIdentity(probe_rows, in.num_rows())) {
+        // Every probe row matched once, in order (a mounted file joining
+        // its F row): pass the probe columns through, as batch columns are
+        // shared and immutable.
+        joined.columns = in.columns;
+      } else {
+        for (const ColumnPtr& c : in.columns) {
+          auto col = std::make_shared<Column>(c->type());
+          col->AppendGather(*c, probe_rows);
+          joined.columns.push_back(std::move(col));
+        }
       }
       for (size_t c = 0; c < build_->num_columns(); ++c) {
         auto col = std::make_shared<Column>(build_->column(c)->type());
@@ -615,6 +629,65 @@ class HashJoinOp : public PhysOp {
   }
 
  private:
+  static bool IsIdentity(const std::vector<uint32_t>& rows, size_t n) {
+    if (rows.size() != n) return false;
+    for (size_t i = 0; i < n; ++i) {
+      if (rows[i] != i) return false;
+    }
+    return true;
+  }
+
+  /// Build rows matching one probe dictionary code: matches_[begin, end).
+  struct CodeMatches {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    bool resolved = false;
+  };
+
+  /// Single string key: resolves each distinct code of the probe column's
+  /// dictionary against the sorted build hashes once, then emits matches
+  /// per row from the resolved list — in the order the per-row probe
+  /// would. A mounted partial table's uri dictionary holds one entry, so a
+  /// union branch costs one lookup however many samples it has. The
+  /// resolutions are kept while batches carry the same dictionary, and
+  /// extended when it grows (codes are append-only).
+  void ProbeByDictionary(const Column& key, std::vector<uint32_t>* probe_rows,
+                         std::vector<uint32_t>* build_rows) {
+    const std::shared_ptr<StringDict>& dict = key.dict();
+    // A weak reference: a shared one would raise the dictionary's
+    // use_count, which splits its bytes in Column::ByteSize() and forces
+    // clone-on-write in the next AppendString.
+    if (probe_dict_.owner_before(dict) || dict.owner_before(probe_dict_)) {
+      probe_dict_ = dict;
+      code_matches_.clear();
+      matches_.clear();
+    }
+    if (code_matches_.size() < dict->size()) code_matches_.resize(dict->size());
+    const Column& build_key = *build_keys_[0];
+    const int32_t* codes = key.codes();
+    for (size_t i = 0; i < key.size(); ++i) {
+      CodeMatches& m = code_matches_[codes[i]];
+      if (!m.resolved) {
+        // The hash HashKeyRow gives a one-string-column key.
+        const std::string& s = dict->At(codes[i]);
+        const uint64_t h = HashCombine(0, std::hash<std::string>{}(s));
+        m.begin = static_cast<uint32_t>(matches_.size());
+        auto it = std::lower_bound(hashes_.begin(), hashes_.end(), h);
+        for (; it != hashes_.end() && *it == h; ++it) {
+          const uint32_t r = rows_[it - hashes_.begin()];
+          if (build_key.GetString(r) == s) matches_.push_back(r);
+        }
+        m.end = static_cast<uint32_t>(matches_.size());
+        m.resolved = true;
+        ctx_->stats.join_key_resolutions += 1;
+      }
+      for (uint32_t j = m.begin; j < m.end; ++j) {
+        probe_rows->push_back(static_cast<uint32_t>(i));
+        build_rows->push_back(matches_[j]);
+      }
+    }
+  }
+
   JoinKeys keys_;
   PhysOpPtr left_;
   PhysOpPtr right_;
@@ -624,6 +697,10 @@ class HashJoinOp : public PhysOp {
   // Parallel arrays sorted by hash.
   std::vector<uint64_t> hashes_;
   std::vector<uint32_t> rows_;
+  // ProbeByDictionary's resolutions, indexed by code of probe_dict_.
+  std::weak_ptr<StringDict> probe_dict_;
+  std::vector<CodeMatches> code_matches_;
+  std::vector<uint32_t> matches_;
 };
 
 /// Index nested-loop join against a persistent, indexed base table: the Ei

@@ -21,6 +21,9 @@ struct ExecStats {
   uint64_t mounted_rows = 0;    // rows ingested by mounts
   uint64_t cache_scans = 0;     // cache-scan access paths taken
   uint64_t index_probes = 0;    // index-join probe rows
+  // Build-side lookups the hash join performed: one per probe row, or one
+  // per distinct dictionary code on a single string key.
+  uint64_t join_key_resolutions = 0;
 
   // Vectorized-kernel coverage (engine/kernel.h): batches that ran on the
   // branchless SIMD path vs. batches that fell back to the scalar
@@ -39,6 +42,7 @@ struct ExecStats {
     mounted_rows += o.mounted_rows;
     cache_scans += o.cache_scans;
     index_probes += o.index_probes;
+    join_key_resolutions += o.join_key_resolutions;
     kernel_filter_batches += o.kernel_filter_batches;
     scalar_filter_batches += o.scalar_filter_batches;
     kernel_agg_batches += o.kernel_agg_batches;

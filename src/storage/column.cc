@@ -66,6 +66,28 @@ void Column::AppendString(const std::string& v) {
   ++size_;
 }
 
+void Column::AppendRepeatedString(const std::string& v, size_t n) {
+  DEX_CHECK(type_ == DataType::kString);
+  if (n == 0) return;  // like zero AppendString calls: `v` stays uninterned
+  EnsureOwnDict();
+  codes_.insert(codes_.end(), n, dict_->Intern(v));
+  size_ += n;
+}
+
+int64_t* Column::AppendInt64Cells(size_t n) {
+  DEX_CHECK(IsIntegerBacked(type_));
+  i64_.resize(i64_.size() + n);
+  size_ += n;
+  return i64_.data() + i64_.size() - n;
+}
+
+double* Column::AppendDoubleCells(size_t n) {
+  DEX_CHECK(type_ == DataType::kDouble);
+  f64_.resize(f64_.size() + n);
+  size_ += n;
+  return f64_.data() + f64_.size() - n;
+}
+
 Status Column::AppendValue(const Value& v) {
   if (v.is_null()) {
     return Status::InvalidArgument("NULL values are not supported in columns");
@@ -142,16 +164,31 @@ void Column::AppendRange(const Column& src, size_t start, size_t count) {
   size_ += count;
 }
 
+namespace {
+
+/// Appends src[rows[i]] for every i to `dst` in one resize and a tight loop.
+template <typename T>
+void GatherInto(std::vector<T>* dst, const std::vector<T>& src,
+                const std::vector<uint32_t>& rows) {
+  const size_t old = dst->size();
+  dst->resize(old + rows.size());
+  T* out = dst->data() + old;
+  const T* in = src.data();
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = in[rows[i]];
+}
+
+}  // namespace
+
 void Column::AppendGather(const Column& src, const std::vector<uint32_t>& rows) {
   DEX_CHECK(src.type_ == type_);
   switch (type_) {
     case DataType::kDouble:
-      for (uint32_t r : rows) f64_.push_back(src.f64_[r]);
+      GatherInto(&f64_, src.f64_, rows);
       break;
     case DataType::kString:
       if (size_ == 0) dict_ = src.dict_;
       if (dict_ == src.dict_) {
-        for (uint32_t r : rows) codes_.push_back(src.codes_[r]);
+        GatherInto(&codes_, src.codes_, rows);
       } else {
         EnsureOwnDict();
         for (uint32_t r : rows) {
@@ -160,7 +197,7 @@ void Column::AppendGather(const Column& src, const std::vector<uint32_t>& rows) 
       }
       break;
     default:
-      for (uint32_t r : rows) i64_.push_back(src.i64_[r]);
+      GatherInto(&i64_, src.i64_, rows);
   }
   size_ += rows.size();
 }

@@ -55,6 +55,15 @@ class Column {
   void AppendString(const std::string& v);
   Status AppendValue(const Value& v);
 
+  // -- Bulk appends: the same cells, codes and ByteSize as the equivalent
+  //    run of one-cell appends ------------------------------------------
+  /// Appends `n` copies of `v`, interning it once.
+  void AppendRepeatedString(const std::string& v, size_t n);
+  /// Appends `n` zeroed cells and returns the first, for the caller to fill
+  /// before the next append.
+  int64_t* AppendInt64Cells(size_t n);
+  double* AppendDoubleCells(size_t n);
+
   /// Copies row `row` of `src` (same type) to the end of this column.
   void AppendFrom(const Column& src, size_t row);
   /// Copies rows [start, start+count) of `src`.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/seismic_schema.h"
 #include "mseed/reader.h"
 #include "mseed/writer.h"
@@ -199,6 +203,156 @@ TEST_F(MounterTest, UnknownValueRangeFileMustMount) {
   ASSERT_TRUE(derived.ok());
   EXPECT_TRUE((*derived)->MayMatchValueRange("/never/seen", 0, 1));
   EXPECT_FALSE((*derived)->HasCompleteFile("/never/seen"));
+}
+
+// ---------------------------------------------------------------------------
+// The bulk D transform against the per-sample transform it replaced
+// ---------------------------------------------------------------------------
+
+/// The per-sample D transform: the uri interned up front (as Mounter::Mount
+/// does), then one append per cell.
+void PerSampleTransform(const std::string& uri,
+                        const std::vector<mseed::DecodedRecord>& records,
+                        Table* t) {
+  t->mutable_column(0)->dict()->Intern(uri);
+  size_t total = 0;
+  for (size_t r = 0; r < records.size(); ++r) {
+    const mseed::DecodedRecord& rec = records[r];
+    for (size_t i = 0; i < rec.samples.size(); ++i) {
+      const size_t idx = rec.sparse ? rec.sample_index[i] : i;
+      t->mutable_column(0)->AppendString(uri);
+      t->mutable_column(1)->AppendInt64(static_cast<int64_t>(r));
+      t->mutable_column(2)->AppendInt64(
+          rec.header.start_time_ms +
+          static_cast<int64_t>(static_cast<double>(idx) * 1000.0 /
+                               rec.header.sample_rate_hz));
+      t->mutable_column(3)->AppendDouble(static_cast<double>(rec.samples[i]));
+    }
+    total += rec.samples.size();
+  }
+  EXPECT_TRUE(t->CommitAppendedRows(total).ok());
+}
+
+/// Rows of `t` whose sample_value exceeds `above`, gathered the way a fused
+/// selection gathers them.
+TablePtr SelectAbove(const Table& t, double above) {
+  std::vector<uint32_t> selected;
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    if (t.column(3)->GetDouble(i) > above) {
+      selected.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  auto out = std::make_shared<Table>(t.name(), t.schema());
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    out->mutable_column(c)->AppendGather(*t.column(c), selected);
+  }
+  EXPECT_TRUE(out->CommitAppendedRows(selected.size()).ok());
+  return out;
+}
+
+void ExpectSameTable(const Table& actual, const Table& expected) {
+  ASSERT_EQ(actual.num_rows(), expected.num_rows());
+  for (size_t r = 0; r < actual.num_rows(); ++r) {
+    for (size_t c = 0; c < actual.num_columns(); ++c) {
+      ASSERT_EQ(actual.GetValue(r, c), expected.GetValue(r, c))
+          << "row " << r << " column " << c;
+    }
+  }
+  EXPECT_EQ(actual.ByteSize(), expected.ByteSize());
+}
+
+mseed::DecodedRecord MakeDecoded(int64_t t0, double rate,
+                                 std::vector<int32_t> samples) {
+  mseed::DecodedRecord rec;
+  rec.header.start_time_ms = t0;
+  rec.header.sample_rate_hz = rate;
+  rec.samples = std::move(samples);
+  return rec;
+}
+
+TEST(DataTransformTest, BulkTransformMatchesPerSampleTransform) {
+  std::vector<mseed::DecodedRecord> records;
+  records.push_back(MakeDecoded(0, 1.0, {10, 20, 30}));
+  // Frame-skipped: only some samples, each with its original index; a rate
+  // whose spacing (333.3 ms) truncates.
+  mseed::DecodedRecord sparse = MakeDecoded(5000, 3.0, {7, -8, 9});
+  sparse.sparse = true;
+  sparse.sample_index = {2, 5, 61};
+  records.push_back(sparse);
+  // Zone-skipped: keeps its slot (record id) with no samples.
+  mseed::DecodedRecord skipped = MakeDecoded(9000, 3.0, {});
+  skipped.sparse = true;
+  records.push_back(skipped);
+  records.push_back(MakeDecoded(20000, 0.5, {-1, 0, 1, 2}));
+
+  Table bulk(kDataTableName, MakeDataSchema());
+  Table per_sample(kDataTableName, MakeDataSchema());
+  bulk.mutable_column(0)->dict()->Intern("/a.mseed");
+  ASSERT_TRUE(AppendSamplesToDataTable("/a.mseed", records, &bulk).ok());
+  PerSampleTransform("/a.mseed", records, &per_sample);
+  ExpectSameTable(bulk, per_sample);
+  EXPECT_EQ(bulk.GetValue(4, 2).int64(), 5000 + 1666);  // index 5 at 3 Hz
+
+  // A second file appended to a table that already holds rows (the eager
+  // load's shape) grows it the same way.
+  ASSERT_TRUE(AppendSamplesToDataTable("/b.mseed", records, &bulk).ok());
+  PerSampleTransform("/b.mseed", records, &per_sample);
+  ExpectSameTable(bulk, per_sample);
+}
+
+TEST_F(MounterTest, MountedTableMatchesPerSampleTransformUnderFrameSkips) {
+  // Record 0 is quiet noise around a short burst, so only the frames
+  // holding the burst can pass `sample_value > 500`; record 1 is quiet
+  // throughout, so its zone skips it whole.
+  mseed::RecordData r0;
+  r0.network = "OR";
+  r0.station = "ISK";
+  r0.channel = "BHZ";
+  r0.start_time_ms = 1000;
+  r0.sample_rate_hz = 3.0;
+  for (int i = 0; i < 900; ++i) {
+    r0.samples.push_back(i >= 400 && i < 420 ? 1000 + i : (i * 37) % 41 - 20);
+  }
+  mseed::RecordData r1 = r0;
+  r1.start_time_ms = 400000;
+  r1.samples.resize(300);
+  for (int i = 0; i < 300; ++i) r1.samples[i] = (i * 13) % 29 - 14;
+  const std::string uri = dir_ + "/burst.mseed";
+  ASSERT_TRUE(mseed::WriteFile(uri, {r0, r1}).ok());
+  ASSERT_TRUE(
+      registry_.Add(uri, *FileSize(uri), *FileMtimeMillis(uri)).ok());
+
+  CacheManager no_cache(
+      CacheManager::Options{CachePolicy::kNone, CacheGranularity::kFile, 0});
+  ZoneMapStore zone_maps;
+  StatsCollectorSet collectors;
+  collectors.Register(&zone_maps);
+  Mounter mounter(&registry_, &no_cache, collectors, &zone_maps, &format_);
+
+  auto decoded = format_.ReadAllRecords(uri);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto full = std::make_shared<Table>(kDataTableName, MakeDataSchema());
+  PerSampleTransform(uri, *decoded, full.get());
+
+  // Whole-file mount (it also harvests the zones the next mount prunes by).
+  auto whole = mounter.Mount(kDataTableName, uri, nullptr);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ExpectSameTable(**whole, *full);
+
+  const TablePtr expected = SelectAbove(*full, 500.0);
+  full.reset();  // the selection alone holds the uri dictionary now
+  Mounter::MountOutcome outcome;
+  PruningOptions pruning;
+  auto pruned = mounter.Mount(
+      kDataTableName, uri,
+      Expr::Compare(CompareOp::kGt, Expr::ColumnRef("sample_value"),
+                    Expr::Lit(Value::Int64(500))),
+      &outcome, nullptr, &pruning);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  EXPECT_GT(outcome.counters.frames_skipped_zonemap, 0u);
+  EXPECT_EQ(outcome.counters.records_skipped_zonemap, 1u);
+  EXPECT_EQ((*pruned)->num_rows(), 20u);
+  ExpectSameTable(**pruned, *expected);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "engine/batch.h"
 #include "engine/optimizer.h"
 #include "io/sim_disk.h"
 
@@ -345,6 +350,186 @@ TEST_F(ExecutorTest, ScanChargesSimIoOnlyWhenEnabled) {
   ctx_.charge_io = true;
   ASSERT_TRUE(Run(MakeScan("D")).ok());
   EXPECT_GT(disk_.stats().sim_nanos, t0);
+}
+
+// ---------------------------------------------------------------------------
+// Hash-join probe: per-dictionary key resolution vs. a nested-loop reference
+// ---------------------------------------------------------------------------
+
+using Rows = std::vector<std::vector<Value>>;
+
+Rows RowsOf(const Table& t) {
+  Rows rows;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < t.num_columns(); ++c) row.push_back(t.GetValue(r, c));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Every (probe, build) row pair whose key cells are all equal, probe-major
+/// and in build-row order; each output row is the probe row then the build
+/// row. `keys` pairs a probe column with a build column.
+Rows NestedLoopJoin(const Rows& probe, const Rows& build,
+                    const std::vector<std::pair<size_t, size_t>>& keys) {
+  Rows out;
+  for (const auto& p : probe) {
+    for (const auto& b : build) {
+      bool match = true;
+      for (const auto& [pk, bk] : keys) match = match && p[pk] == b[bk];
+      if (!match) continue;
+      std::vector<Value> row = p;
+      row.insert(row.end(), b.begin(), b.end());
+      out.push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+Rows Concat(Rows a, const Rows& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+SchemaPtr ProbeSchema() {
+  return std::make_shared<Schema>(Schema({{"uri", DataType::kString, "P"},
+                                          {"n", DataType::kInt64, "P"}}));
+}
+
+/// A P(uri, n) table whose rows cycle through `uris`.
+TablePtr MakeProbe(const std::string& name, const std::vector<std::string>& uris,
+                   size_t rows) {
+  auto t = std::make_shared<Table>(name, ProbeSchema());
+  for (size_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(t->AppendRow({Value::String(uris[i % uris.size()]),
+                              Value::Int64(static_cast<int64_t>(i))})
+                    .ok());
+  }
+  return t;
+}
+
+ExprPtr UriEquals(const std::string& build_qualifier) {
+  return Expr::Compare(CompareOp::kEq, Expr::ColumnRef("P.uri"),
+                       Expr::ColumnRef(build_qualifier + ".uri"));
+}
+
+TEST_F(ExecutorTest, DictionaryProbeAcrossDictionariesMatchesNestedLoop) {
+  // Two probe tables, each with its own dictionary; the first spans several
+  // batches. "zz" and "yy" are absent from F.
+  const TablePtr p1 = MakeProbe("P1", {"u2", "zz", "u1"}, 2 * kBatchSize + 7);
+  const TablePtr p2 = MakeProbe("P2", {"u3", "yy", "u3", "u1"}, 11);
+  ASSERT_TRUE(catalog_.AddTable(p1, TableKind::kActual).ok());
+  ASSERT_TRUE(catalog_.AddTable(p2, TableKind::kActual).ok());
+  auto r = Run(MakeJoin(UriEquals("F"),
+                        MakeUnion({MakeScan("P1"), MakeScan("P2")}),
+                        MakeScan("F")));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const Rows f = RowsOf(**catalog_.GetTable("F"));
+  const Rows expected = NestedLoopJoin(Concat(RowsOf(*p1), RowsOf(*p2)), f,
+                                       {{0, 0}});
+  EXPECT_EQ(RowsOf(**r), expected);
+  // One lookup per distinct code per dictionary, not one per probe row.
+  EXPECT_EQ(ctx_.stats.join_key_resolutions, 3u + 3u);
+}
+
+TEST_F(ExecutorTest, DictionaryProbeExtendsAGrowingSharedDictionary) {
+  // Both union branches stream one table, and the second mount grows that
+  // table's dictionary in place between them: the resolutions made for the
+  // first branch's codes are reused, only the new codes are looked up.
+  auto p = std::make_shared<Table>("P", ProbeSchema());
+  ASSERT_TRUE(catalog_.AddTable(p, TableKind::kActual).ok());
+  const TablePtr source = MakeProbe("P", {"u1", "zz", "u2"}, 9);
+  Rows first_branch;
+  ctx_.mount_fn = [&](const std::string&, const std::string& uri,
+                      const ExprPtr&) -> Result<TablePtr> {
+    if (uri == "first") {
+      first_branch = RowsOf(*source);
+      return source;
+    }
+    const StringDict* before = source->column(0)->dict().get();
+    for (const char* s : {"u3", "u1", "yy", "u3"}) {
+      EXPECT_TRUE(source->AppendRow({Value::String(s), Value::Int64(99)}).ok());
+    }
+    // The premise of this test: the dictionary grew, it was not cloned.
+    EXPECT_EQ(source->column(0)->dict().get(), before);
+    EXPECT_EQ(before->size(), 5u);
+    return source;
+  };
+  // Project away the probe's uri so no result column keeps sharing the
+  // dictionary (which would force clone-on-write in the second mount).
+  PlanPtr join = MakeJoin(
+      UriEquals("F"),
+      MakeUnion({MakeMount("P", "first"), MakeMount("P", "second")}),
+      MakeScan("F"));
+  auto r = Run(MakeProject({Expr::ColumnRef("P.n"), Expr::ColumnRef("F.uri"),
+                            Expr::ColumnRef("F.station")},
+                           {"n", "uri", "station"}, join));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const Rows f = RowsOf(**catalog_.GetTable("F"));
+  Rows expected;
+  for (const auto& row :
+       NestedLoopJoin(Concat(first_branch, RowsOf(*source)), f, {{0, 0}})) {
+    expected.push_back({row[1], row[2], row[3]});
+  }
+  EXPECT_EQ(RowsOf(**r), expected);
+  EXPECT_EQ(ctx_.stats.join_key_resolutions, 3u + 2u);
+}
+
+TEST_F(ExecutorTest, DictionaryProbeWithNoBuildMatchesEmitsNothing) {
+  const TablePtr p1 = MakeProbe("P1", {"zz", "yy"}, 10);
+  ASSERT_TRUE(catalog_.AddTable(p1, TableKind::kActual).ok());
+  auto r = Run(MakeJoin(UriEquals("F"), MakeScan("P1"), MakeScan("F")));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ((*r)->num_rows(), 0u);
+  EXPECT_EQ(ctx_.stats.join_key_resolutions, 2u);
+}
+
+TEST_F(ExecutorTest, DictionaryProbeEmitsDuplicateBuildKeysInBuildOrder) {
+  // B holds every key several times, interleaved, and more rows than a
+  // small-sort cutoff, so build-row order must survive the hash sort.
+  auto b_schema = std::make_shared<Schema>(Schema(
+      {{"uri", DataType::kString, "B"}, {"k", DataType::kInt64, "B"}}));
+  auto b = std::make_shared<Table>("B", b_schema);
+  const std::vector<std::string> keys = {"u1", "u2", "u3", "u4"};
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(
+        b->AppendRow({Value::String(keys[(i * 7) % 4]), Value::Int64(i)}).ok());
+  }
+  ASSERT_TRUE(catalog_.AddTable(b, TableKind::kActual).ok());
+  const TablePtr p1 = MakeProbe("P1", {"u3", "zz", "u1", "u3"}, 13);
+  ASSERT_TRUE(catalog_.AddTable(p1, TableKind::kActual).ok());
+  auto r = Run(MakeJoin(UriEquals("B"), MakeScan("P1"), MakeScan("B")));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const Rows expected = NestedLoopJoin(RowsOf(*p1), RowsOf(*b), {{0, 0}});
+  EXPECT_EQ(expected.size(), 10u * 10u);  // 10 "u1"/"u3" probes x 10 matches
+  EXPECT_EQ(RowsOf(**r), expected);
+  EXPECT_EQ(ctx_.stats.join_key_resolutions, 3u);
+}
+
+TEST_F(ExecutorTest, TwoKeyJoinStaysOnThePerRowProbe) {
+  // D(uri, n, value) joined to itself on (uri, n): not a single string key,
+  // so every probe row performs its own build-side lookup.
+  auto e_schema = std::make_shared<Schema>(
+      Schema({{"uri", DataType::kString, "E"}, {"n", DataType::kInt64, "E"}}));
+  auto e = std::make_shared<Table>("E", e_schema);
+  for (const auto& [uri, n] : std::vector<std::pair<std::string, int64_t>>{
+           {"u1", 0}, {"u2", 2}, {"u1", 0}, {"u3", 5}, {"u2", 1}}) {
+    ASSERT_TRUE(e->AppendRow({Value::String(uri), Value::Int64(n)}).ok());
+  }
+  ASSERT_TRUE(catalog_.AddTable(e, TableKind::kActual).ok());
+  auto cond = Expr::And(
+      Expr::Compare(CompareOp::kEq, Expr::ColumnRef("D.uri"),
+                    Expr::ColumnRef("E.uri")),
+      Expr::Compare(CompareOp::kEq, Expr::ColumnRef("D.n"),
+                    Expr::ColumnRef("E.n")));
+  auto r = Run(MakeJoin(cond, MakeScan("D"), MakeScan("E")));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const Rows expected = NestedLoopJoin(RowsOf(**catalog_.GetTable("D")),
+                                       RowsOf(*e), {{0, 0}, {1, 1}});
+  EXPECT_EQ(expected.size(), 4u);  // (u1,0) twice, (u2,1), (u2,2)
+  EXPECT_EQ(RowsOf(**r), expected);
+  EXPECT_EQ(ctx_.stats.join_key_resolutions, 9u);  // one per D row
 }
 
 }  // namespace

@@ -148,5 +148,82 @@ TEST(ColumnTest, ClearResets) {
   EXPECT_EQ(col.GetString(0), "b");
 }
 
+void ExpectSameStrings(const Column& a, const Column& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.GetStringCode(i), b.GetStringCode(i)) << "row " << i;
+  }
+  ASSERT_EQ(a.dict()->size(), b.dict()->size());
+  for (size_t c = 0; c < a.dict()->size(); ++c) {
+    EXPECT_EQ(a.dict()->At(static_cast<int32_t>(c)),
+              b.dict()->At(static_cast<int32_t>(c)));
+  }
+  EXPECT_EQ(a.ByteSize(), b.ByteSize());
+}
+
+TEST(ColumnTest, AppendRepeatedStringMatchesPerRowAppends) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{5000}}) {
+    Column bulk(DataType::kString);
+    Column rows(DataType::kString);
+    for (Column* c : {&bulk, &rows}) {
+      c->AppendString("a");
+      c->AppendString("b");
+    }
+    bulk.AppendRepeatedString("c", n);
+    for (size_t i = 0; i < n; ++i) rows.AppendString("c");
+    bulk.AppendRepeatedString("a", n);
+    for (size_t i = 0; i < n; ++i) rows.AppendString("a");
+    ExpectSameStrings(bulk, rows);
+    // Zero copies intern nothing, like zero AppendString calls.
+    EXPECT_EQ(bulk.dict()->size(), n == 0 ? 2u : 3u);
+  }
+}
+
+TEST(ColumnTest, AppendRepeatedStringClonesASharedDictionary) {
+  Column src(DataType::kString);
+  src.AppendString("x");
+  Column bulk(DataType::kString);
+  Column rows(DataType::kString);
+  bulk.AppendRange(src, 0, 1);
+  rows.AppendRange(src, 0, 1);
+  ASSERT_EQ(bulk.dict(), src.dict());
+  bulk.AppendRepeatedString("y", 3);
+  for (int i = 0; i < 3; ++i) rows.AppendString("y");
+  EXPECT_NE(bulk.dict(), src.dict());  // copy-on-write, like AppendString
+  EXPECT_EQ(src.dict()->size(), 1u);
+  ExpectSameStrings(bulk, rows);
+}
+
+TEST(ColumnTest, BulkNumericAppendsMatchPerRowAppends) {
+  Column ints(DataType::kInt64), int_rows(DataType::kInt64);
+  ints.AppendInt64(-1);
+  int_rows.AppendInt64(-1);
+  int64_t* cells = ints.AppendInt64Cells(4);
+  for (int i = 0; i < 4; ++i) {
+    cells[i] = i * 10;
+    int_rows.AppendInt64(i * 10);
+  }
+  Column dbls(DataType::kDouble), dbl_rows(DataType::kDouble);
+  double* d = dbls.AppendDoubleCells(3);
+  for (int i = 0; i < 3; ++i) {
+    d[i] = i + 0.5;
+    dbl_rows.AppendDouble(i + 0.5);
+  }
+  ASSERT_EQ(ints.size(), int_rows.size());
+  for (size_t i = 0; i < ints.size(); ++i) {
+    EXPECT_EQ(ints.GetInt64(i), int_rows.GetInt64(i));
+  }
+  ASSERT_EQ(dbls.size(), dbl_rows.size());
+  for (size_t i = 0; i < dbls.size(); ++i) {
+    EXPECT_EQ(dbls.GetDouble(i), dbl_rows.GetDouble(i));
+  }
+  EXPECT_EQ(ints.ByteSize(), int_rows.ByteSize());
+  EXPECT_EQ(dbls.ByteSize(), dbl_rows.ByteSize());
+  // Reserved capacity is not footprint: ByteSize counts rows only.
+  Column reserved(DataType::kDouble);
+  reserved.Reserve(1 << 16);
+  EXPECT_EQ(reserved.ByteSize(), 0u);
+}
+
 }  // namespace
 }  // namespace dex

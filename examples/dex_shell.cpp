@@ -140,16 +140,24 @@ void PrintQueryStats(const dex::QueryStats& stats, bool verbose) {
     const auto& ex = ts.exec;
     if (ex.kernel_filter_batches > 0 || ex.kernel_agg_batches > 0 ||
         ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0 ||
-        ex.join_key_resolutions > 0) {
+        ex.join_key_resolutions > 0 || ex.partial_agg_branches > 0 ||
+        ex.partial_agg_fallbacks > 0) {
       std::printf("   kernels: filter %llu vec / %llu scalar, "
                   "agg %llu vec / %llu scalar, %llu compactions, "
-                  "%llu join key resolutions\n",
+                  "%llu join key resolutions, %llu partial-agg branches / "
+                  "%llu fallbacks\n",
                   static_cast<unsigned long long>(ex.kernel_filter_batches),
                   static_cast<unsigned long long>(ex.scalar_filter_batches),
                   static_cast<unsigned long long>(ex.kernel_agg_batches),
                   static_cast<unsigned long long>(ex.scalar_agg_batches),
                   static_cast<unsigned long long>(ex.selection_compactions),
-                  static_cast<unsigned long long>(ex.join_key_resolutions));
+                  static_cast<unsigned long long>(ex.join_key_resolutions),
+                  static_cast<unsigned long long>(ex.partial_agg_branches),
+                  static_cast<unsigned long long>(ex.partial_agg_fallbacks));
+    }
+    if (!ts.partial_agg_fallback.empty()) {
+      std::printf("   grouping pushdown fell back: %s\n",
+                  ts.partial_agg_fallback.c_str());
     }
     for (const std::string& w : stats.warnings) {
       std::printf("   warning: %s\n", w.c_str());

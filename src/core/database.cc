@@ -291,16 +291,18 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& repo_root,
 Status Database::SyncQuarantineTable() {
   if (options_.mode != IngestionMode::kLazy) return Status::OK();
   std::lock_guard<std::mutex> lock(publish_mu_);
-  if (registry_->health_version() == quarantine_table_version_) {
-    return Status::OK();
-  }
+  // The version is read before the table is built: a health change racing
+  // the build then leaves the stored version behind, and the next sync
+  // rebuilds.
+  const uint64_t version = registry_->health_version();
+  if (version == quarantine_table_version_) return Status::OK();
   // Copy-on-write publish: clone the latest epoch, swap in the rebuilt
   // QUARANTINE table, publish. In-flight queries keep their pinned epochs.
   DEX_ASSIGN_OR_RETURN(TablePtr q_table, registry_->BuildQuarantineTable());
   std::unique_ptr<Catalog> next = pinned_latest_->catalog->Clone();
   DEX_RETURN_NOT_OK(next->ReplaceTable(std::move(q_table)));
   pinned_latest_ = epochs_->Publish(std::move(next));
-  quarantine_table_version_ = registry_->health_version();
+  quarantine_table_version_ = version;
   return Status::OK();
 }
 
@@ -516,18 +518,25 @@ Result<QueryResult> Database::RunExplainAnalyze(const std::string& sql,
   const ExecStats& ex = ts.exec;
   if (ex.kernel_filter_batches > 0 || ex.kernel_agg_batches > 0 ||
       ex.scalar_filter_batches > 0 || ex.scalar_agg_batches > 0 ||
-      ex.join_key_resolutions > 0) {
+      ex.join_key_resolutions > 0 || ex.partial_agg_branches > 0 ||
+      ex.partial_agg_fallbacks > 0) {
     std::snprintf(line, sizeof(line),
                   "\nkernels: filter %llu vectorized / %llu scalar, "
                   "agg %llu vectorized / %llu scalar, %llu compactions, "
-                  "%llu join key resolutions",
+                  "%llu join key resolutions, %llu partial-agg branches / "
+                  "%llu fallbacks",
                   static_cast<unsigned long long>(ex.kernel_filter_batches),
                   static_cast<unsigned long long>(ex.scalar_filter_batches),
                   static_cast<unsigned long long>(ex.kernel_agg_batches),
                   static_cast<unsigned long long>(ex.scalar_agg_batches),
                   static_cast<unsigned long long>(ex.selection_compactions),
-                  static_cast<unsigned long long>(ex.join_key_resolutions));
+                  static_cast<unsigned long long>(ex.join_key_resolutions),
+                  static_cast<unsigned long long>(ex.partial_agg_branches),
+                  static_cast<unsigned long long>(ex.partial_agg_fallbacks));
     text += line;
+  }
+  if (!ts.partial_agg_fallback.empty()) {
+    text += "\ngrouping pushdown fell back: " + ts.partial_agg_fallback;
   }
   if (ts.is_partial) {
     std::snprintf(
@@ -712,11 +721,12 @@ Result<RefreshStats> Database::Refresh() {
     DEX_RETURN_NOT_OK(next->ReplaceTable(std::move(new_r)));
     // Quarantine decisions made by the scan become queryable in the same
     // epoch (folded here, under the same lock, to publish once not twice).
-    if (registry_->health_version() != quarantine_table_version_) {
+    const uint64_t version = registry_->health_version();
+    if (version != quarantine_table_version_) {
       DEX_ASSIGN_OR_RETURN(TablePtr q_table,
                            registry_->BuildQuarantineTable());
       DEX_RETURN_NOT_OK(next->ReplaceTable(std::move(q_table)));
-      quarantine_table_version_ = registry_->health_version();
+      quarantine_table_version_ = version;
     }
     pinned_latest_ = epochs_->Publish(std::move(next));
     stats.epoch = pinned_latest_->id;

@@ -85,6 +85,8 @@ void PublishQueryMetrics(const QueryStats& stats,
   m.AddCounter("exec.cache_scans", ex.cache_scans);
   m.AddCounter("exec.index_probes", ex.index_probes);
   m.AddCounter("exec.join_key_resolutions", ex.join_key_resolutions);
+  m.AddCounter("exec.partial_agg_branches", ex.partial_agg_branches);
+  m.AddCounter("exec.partial_agg_fallbacks", ex.partial_agg_fallbacks);
 
   // Vectorized-kernel coverage: batches on the branchless SIMD path vs.
   // scalar-interpreter fallbacks, and boundary compactions.

@@ -421,11 +421,229 @@ class TwoStageExecutor::Admission {
   uint64_t reserved_bytes_ = 0;      // partial-table reservations to release
 };
 
+/// The grouping pushed into the union (DESIGN.md "Grouping pushdown into
+/// the union"): Aggregate(Join(Union(branches), M)) where the join is one
+/// string equality between a union column and a column of M (a result-scan),
+/// the grouping is by at most one string column of M, and every aggregate is
+/// COUNT(*) or a kernel aggregate over a numeric union column. Each branch's
+/// rows then all join the one M row matching the branch's key, so the branch
+/// aggregates to one partial group that the coordinator merges in branch
+/// order under that M row's group key.
+struct TwoStageExecutor::PartialAggPlan {
+  const LogicalPlan* aggregate = nullptr;
+  const LogicalPlan* join = nullptr;
+  const LogicalPlan* union_node = nullptr;
+  const LogicalPlan* metadata = nullptr;  // M, a result-scan
+  int probe_key = -1;  // union-side column of the join key
+  int build_key = -1;  // M column of the join key
+  int group_key = -1;  // M column of the group key; -1 = no GROUP BY
+  std::vector<AggFunc> fns;
+  std::vector<int> arg_columns;  // union-side columns; -1 = COUNT(*)
+  std::vector<DataType> arg_types;
+  /// M's row for each join-key value (filled before the wave).
+  std::unordered_map<std::string, uint32_t> build_rows;
+
+  GroupAggState NewState() const {
+    return GroupAggState(fns, arg_columns, arg_types);
+  }
+};
+
+std::optional<TwoStageExecutor::PartialAggPlan>
+TwoStageExecutor::FindPartialAggPlan(const PlanPtr& node) {
+  for (const PlanPtr& c : node->children) {
+    std::optional<PartialAggPlan> found = FindPartialAggPlan(c);
+    if (found.has_value()) return found;
+  }
+  if (node->kind != PlanKind::kAggregate ||
+      node->children[0]->kind != PlanKind::kJoin) {
+    return std::nullopt;
+  }
+  const PlanPtr& join = node->children[0];
+  const PlanPtr& branches = join->children[0];
+  const PlanPtr& metadata = join->children[1];
+  if (branches->kind != PlanKind::kUnion ||
+      metadata->kind != PlanKind::kResultScan) {
+    return std::nullopt;
+  }
+  // Cache-scan branches keep the shape eligible; they make the query fall
+  // back at run time (the wave mounts only kMount branches).
+  for (const PlanPtr& b : branches->children) {
+    const PlanKind k = b->kind == PlanKind::kFilter ? b->children[0]->kind : b->kind;
+    if (k != PlanKind::kMount && k != PlanKind::kCacheScan) return std::nullopt;
+  }
+  const Schema& left = *branches->output_schema;
+  const Schema& right = *metadata->output_schema;
+  const Schema& joined = *join->output_schema;
+  auto bind_column = [](const ExprPtr& e, const Schema& schema) -> int {
+    if (e->kind() != ExprKind::kColumnRef || !e->AllColumnsIn(schema)) return -1;
+    Result<ExprPtr> bound = e->Bind(schema);
+    return bound.ok() ? (*bound)->column_index() : -1;
+  };
+  auto is_string = [](const Schema& schema, int i) {
+    return i >= 0 && schema.field(static_cast<size_t>(i)).type == DataType::kString;
+  };
+
+  PartialAggPlan plan;
+  plan.aggregate = node.get();
+  plan.join = join.get();
+  plan.union_node = branches.get();
+  plan.metadata = metadata.get();
+  std::vector<ExprPtr> conjuncts;
+  Expr::SplitConjuncts(join->predicate, &conjuncts);
+  if (conjuncts.size() != 1 || conjuncts[0]->kind() != ExprKind::kComparison ||
+      conjuncts[0]->compare_op() != CompareOp::kEq) {
+    return std::nullopt;
+  }
+  const ExprPtr& a = conjuncts[0]->children()[0];
+  const ExprPtr& b = conjuncts[0]->children()[1];
+  plan.probe_key = bind_column(a, left);
+  plan.build_key = bind_column(b, right);
+  if (plan.probe_key < 0 || plan.build_key < 0) {
+    plan.probe_key = bind_column(b, left);
+    plan.build_key = bind_column(a, right);
+  }
+  if (!is_string(left, plan.probe_key) || !is_string(right, plan.build_key)) {
+    return std::nullopt;
+  }
+  const int width = static_cast<int>(left.num_fields());
+  if (node->group_by.size() > 1) return std::nullopt;
+  if (node->group_by.size() == 1) {
+    const int g = bind_column(node->group_by[0], joined);
+    if (g < width || !is_string(joined, g)) return std::nullopt;
+    plan.group_key = g - width;
+  }
+  for (const AggSpec& agg : node->aggregates) {
+    plan.fns.push_back(agg.fn);
+    if (agg.arg == nullptr) {
+      plan.arg_columns.push_back(-1);
+      plan.arg_types.push_back(DataType::kInt64);
+      continue;
+    }
+    const int col = bind_column(agg.arg, joined);
+    if (col < 0 || col >= width) return std::nullopt;
+    const DataType t = left.field(static_cast<size_t>(col)).type;
+    if (t != DataType::kDouble && t != DataType::kInt64 &&
+        t != DataType::kTimestamp) {
+      return std::nullopt;
+    }
+    plan.arg_columns.push_back(col);
+    plan.arg_types.push_back(t);
+  }
+  return plan;
+}
+
+bool TwoStageExecutor::CanPushGroupingIntoUnion(const PlanPtr& stage2_plan) {
+  return FindPartialAggPlan(stage2_plan).has_value();
+}
+
+std::shared_ptr<const TwoStageExecutor::BranchPartial>
+TwoStageExecutor::TakePartial(const PartialAggPlan& plan, const Table& table) {
+  auto partial =
+      std::make_shared<BranchPartial>(BranchPartial{plan.NewState(), ""});
+  partial->state.Resize(1);
+  if (table.num_rows() > 0) {
+    const Column& key = *table.column(static_cast<size_t>(plan.probe_key));
+    const int32_t* codes = key.codes();
+    // Codes of one column are interned: equal codes, equal strings.
+    for (size_t r = 1; r < table.num_rows(); ++r) {
+      if (codes[r] != codes[0]) return nullptr;
+    }
+    partial->key = key.GetString(0);
+    partial->state.AccumulateAll(table, 0);
+  }
+  return partial;
+}
+
+std::string TwoStageExecutor::MergePartials(const PartialAggPlan& plan,
+                                            const PremountMap& premounted,
+                                            ExecContext* ctx,
+                                            PlanProfiler* profiler,
+                                            TablePtr* out) {
+  const uint64_t t0 = NowNanos();
+  const Table& metadata = *ctx->named_results.at(plan.metadata->result_id);
+  GroupAggState merged = plan.NewState();
+  std::vector<Value> keys;
+  std::unordered_map<std::string, size_t> slots;
+  uint64_t files = 0, rows = 0, branches = 0;
+  for (const PlanPtr& branch : plan.union_node->children) {
+    auto it = premounted.find(branch->uri);
+    if (it == premounted.end() ||
+        it->second.predicate.get() != branch->predicate.get()) {
+      return "a branch was not mounted by the wave";
+    }
+    const PremountEntry& e = it->second;
+    ++files;
+    rows += e.table->num_rows();
+    if (e.partial != nullptr) ++branches;
+    // An empty table (refused by admission, lost in the gather, or with no
+    // matching row) contributes nothing, as in the joined plan.
+    if (e.table->num_rows() == 0) continue;
+    if (e.partial == nullptr) return "a branch's join key is not constant";
+    auto m = plan.build_rows.find(e.partial->key);
+    if (m == plan.build_rows.end()) continue;  // the join drops the branch
+    size_t slot = 0;
+    if (plan.group_key >= 0) {
+      const std::string& g =
+          metadata.column(static_cast<size_t>(plan.group_key))->GetString(m->second);
+      auto [s, inserted] = slots.try_emplace(g, keys.size());
+      if (inserted) keys.push_back(Value::String(g));
+      slot = s->second;
+    }
+    merged.Resize(slot + 1);
+    merged.MergeGroup(e.partial->state, 0, slot);
+  }
+  std::string inexact = merged.MergeInexactReason();
+  if (!inexact.empty()) return inexact;
+
+  auto table = std::make_shared<Table>("partial_agg", plan.aggregate->output_schema);
+  Batch batch;
+  Result<bool> emitted =
+      merged.Emit(keys, plan.group_key >= 0, plan.aggregate->output_schema, &batch);
+  if (!emitted.ok()) return emitted.status().message();
+  if (*emitted) {
+    const size_t n = batch.num_rows();
+    for (size_t c = 0; c < batch.columns.size(); ++c) {
+      table->mutable_column(c)->AppendRange(*batch.columns[c], 0, n);
+    }
+    if (!table->CommitAppendedRows(n).ok()) return "partial result assembly failed";
+  }
+  *out = std::move(table);
+
+  // What the joined plan's mounts would have counted, plus the pushdown's
+  // own counters; each branch's partial is one kernel aggregation pass.
+  ctx->stats.files_mounted += files;
+  ctx->stats.mounted_rows += rows;
+  ctx->stats.partial_agg_branches += branches;
+  ctx->stats.kernel_agg_batches += branches;
+  if (profiler != nullptr) {
+    for (const PlanPtr& branch : plan.union_node->children) {
+      const PremountEntry& e = premounted.at(branch->uri);
+      OpProfile* p = profiler->ProfileFor(branch.get());
+      p->opens += 1;
+      p->open_nanos += e.wall_nanos;
+      p->rows_out += e.table->num_rows();
+    }
+    const std::string folded = "aggregated per branch inside the mount wave";
+    profiler->ProfileFor(plan.union_node)->note = folded;
+    profiler->ProfileFor(plan.join)->note = folded;
+    profiler->ProfileFor(plan.metadata)->note = "read by the partial merge";
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "grouping pushed into the union: %llu branch partials "
+                  "merged in %.3fms",
+                  static_cast<unsigned long long>(branches),
+                  static_cast<double>(NowNanos() - t0) / 1e6);
+    profiler->ProfileFor(plan.aggregate)->note = buf;
+  }
+  return "";
+}
+
 Status TwoStageExecutor::PremountUnion(const PlanPtr& union_node, size_t workers,
                                        int priority, TwoStageStats* stats,
                                        PremountMap* premounted,
                                        Admission* admission, QueryContext* qctx,
-                                       const PruningOptions* pruning) {
+                                       const PruningOptions* pruning,
+                                       const PartialAggPlan* pushdown) {
   if (union_node == nullptr || union_node->kind != PlanKind::kUnion) {
     return Status::OK();
   }
@@ -452,6 +670,7 @@ Status TwoStageExecutor::PremountUnion(const PlanPtr& union_node, size_t workers
     Mounter::MountOutcome outcome;
     uint64_t sim_nanos = 0;   // this task's simulated stall time
     uint64_t wall_nanos = 0;  // charged to the serving Mount in EXPLAIN ANALYZE
+    std::shared_ptr<const BranchPartial> partial;  // with `pushdown` only
   };
   std::vector<Task> tasks(mounts.size());
   std::vector<TwoStageStats::ShardRow> shard(admission->num_shards());
@@ -462,6 +681,7 @@ Status TwoStageExecutor::PremountUnion(const PlanPtr& union_node, size_t workers
   auto finish = [&](size_t i) -> Status {
     Task& t = tasks[i];
     const LogicalPlan* node = mounts[i];
+    const Table* mounted = t.table.get();
     TwoStageStats::ShardRow& row = shard[admission->ShardOf(node->uri)];
     stats->mount.MergeFrom(t.outcome);
     ++row.files;
@@ -478,8 +698,12 @@ Status TwoStageExecutor::PremountUnion(const PlanPtr& union_node, size_t workers
     DEX_ASSIGN_OR_RETURN(TablePtr admitted,
                          admission->Admit(node->table_name, node->uri,
                                           std::move(t.table), pending));
-    (*premounted)[node->uri] =
-        PremountEntry{node->predicate, std::move(admitted), node, t.wall_nanos};
+    // A table emptied by the gather or refused by admission is no longer
+    // the one the partial summarizes.
+    if (admitted.get() != mounted) t.partial = nullptr;
+    (*premounted)[node->uri] = PremountEntry{node->predicate, std::move(admitted),
+                                             node, t.wall_nanos,
+                                             std::move(t.partial)};
     return Status::OK();
   };
 
@@ -493,7 +717,8 @@ Status TwoStageExecutor::PremountUnion(const PlanPtr& union_node, size_t workers
         if (!admitted) {
           (*premounted)[node->uri] = PremountEntry{
               node->predicate,
-              std::make_shared<Table>(node->table_name, MakeDataSchema()), node};
+              std::make_shared<Table>(node->table_name, MakeDataSchema()), node,
+              0, nullptr};
           continue;
         }
         Task* task = &tasks[i];
@@ -501,7 +726,8 @@ Status TwoStageExecutor::PremountUnion(const PlanPtr& union_node, size_t workers
         // Trace context (order key + parent span) is captured at spawn time
         // and installed by TaskGroup::Spawn itself, so spans below parent
         // under the coordinator's current span automatically.
-        group.Spawn([this, node, task, qctx, pruning, pool]() -> Status {
+        group.Spawn([this, node, task, qctx, pruning, pool,
+                     pushdown]() -> Status {
           // A cancelled query skips tasks that have not started yet; the
           // cancel reason propagates through the lowest-index error rule.
           DEX_RETURN_NOT_OK(qctx->CheckInterrupt());
@@ -521,6 +747,9 @@ Status TwoStageExecutor::PremountUnion(const PlanPtr& union_node, size_t workers
                               &task->outcome, qctx, pruning);
           task->wall_nanos = NowNanos() - t0;
           DEX_ASSIGN_OR_RETURN(task->table, std::move(mounted));
+          if (pushdown != nullptr) {
+            task->partial = TakePartial(*pushdown, *task->table);
+          }
           return Status::OK();
         });
       }
@@ -824,6 +1053,20 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
   }
   stats->rewrite_nanos = NowNanos() - t_rw;
 
+  // Grouping pushdown: whether the plan allows it is decided once, here;
+  // whether the data does, after the wave. `fallback` says why an eligible
+  // query ran the joined plan instead.
+  std::optional<PartialAggPlan> pushdown;
+  std::string fallback;
+  if (opts.pruning.use_simd_kernels && union_node != nullptr) {
+    pushdown = FindPartialAggPlan(stage2_plan);
+    if (pushdown.has_value() &&
+        (pushdown->union_node != union_node.get() ||
+         ctx.named_results.count(pushdown->metadata->result_id) == 0)) {
+      pushdown.reset();
+    }
+  }
+
   // ---- Stage 2: multi-stage (batched) or single-shot.
   const uint64_t t2 = NowNanos();
   std::optional<obs::TraceSpan> stage2_span;
@@ -831,6 +1074,25 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
   const bool batched = opts.mount_batch_size > 0 && union_node != nullptr &&
                        union_node->kind == PlanKind::kUnion &&
                        union_node->children.size() > opts.mount_batch_size;
+  if (pushdown.has_value()) {
+    const auto not_mount = [](const PlanPtr& b) { return b->kind != PlanKind::kMount; };
+    if (batched) {
+      fallback = "batched ingestion (mount_batch_size)";
+    } else if (std::any_of(union_node->children.begin(),
+                           union_node->children.end(), not_mount)) {
+      fallback = "a cache-scan branch";
+    } else {
+      const Table& m = *ctx.named_results.at(pushdown->metadata->result_id);
+      const Column& key = *m.column(static_cast<size_t>(pushdown->build_key));
+      for (size_t r = 0; r < m.num_rows() && fallback.empty(); ++r) {
+        if (!pushdown->build_rows.try_emplace(key.GetString(r), r).second) {
+          fallback = "duplicate join keys on the metadata side";
+        }
+      }
+    }
+  }
+  const PartialAggPlan* wave_pushdown =
+      pushdown.has_value() && fallback.empty() ? &*pushdown : nullptr;
   if (batched) {
     // Ingest the union's branches in batches, with a breakpoint after each.
     DEX_ASSIGN_OR_RETURN(TablePtr base, catalog->GetTable(kDataTableName));
@@ -856,7 +1118,7 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
       // breakpoint between batches stays a clean barrier.
       DEX_RETURN_NOT_OK(PremountUnion(sub, workers, priority, stats,
                                       &premounted, &admission, qctx,
-                                      &opts.pruning));
+                                      &opts.pruning, nullptr));
       DEX_ASSIGN_OR_RETURN(TablePtr part, ExecutePlan(sub, &ctx));
       if (profiler != nullptr) {
         profiler->AddRoot("stage 2 ingestion (batch " + std::to_string(b + 1) +
@@ -891,7 +1153,23 @@ Result<TablePtr> TwoStageExecutor::Execute(const PlanPtr& plan,
   } else {
     DEX_RETURN_NOT_OK(PremountUnion(union_node, workers, priority, stats,
                                     &premounted, &admission, qctx,
-                                    &opts.pruning));
+                                    &opts.pruning, wave_pushdown));
+    if (wave_pushdown != nullptr) {
+      TablePtr aggregated;
+      fallback = MergePartials(*wave_pushdown, premounted, &ctx, profiler,
+                               &aggregated);
+      if (fallback.empty()) {
+        ctx.precomputed[wave_pushdown->aggregate] = std::move(aggregated);
+      }
+    }
+  }
+  if (!fallback.empty()) {
+    ctx.stats.partial_agg_fallbacks += 1;
+    stats->partial_agg_fallback = fallback;
+    if (profiler != nullptr) {
+      profiler->ProfileFor(pushdown->aggregate)->note =
+          "grouping pushdown fell back: " + fallback;
+    }
   }
   DEX_ASSIGN_OR_RETURN(TablePtr result, ExecutePlan(stage2_plan, &ctx));
   if (profiler != nullptr) profiler->AddRoot("stage 2", stage2_plan);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/mounter.h"
 #include "core/plan_splitter.h"
 #include "engine/executor.h"
+#include "engine/group_agg.h"
 #include "exec/query_context.h"
 #include "exec/thread_pool.h"
 #include "shard/sharded_repository.h"
@@ -162,6 +164,10 @@ struct TwoStageStats {
   /// coordinator, fallback mounts directly.
   Mounter::MountOutcome mount;
 
+  /// Why a query whose grouping could be pushed into the union ran the
+  /// joined plan instead (empty when it did not fall back).
+  std::string partial_agg_fallback;
+
   ExecStats exec;
   BreakpointInfo breakpoint;
   bool breakpoint_evaluated = false;
@@ -254,12 +260,24 @@ class TwoStageExecutor {
 
   const TwoStageOptions& options() const { return options_; }
 
+  /// Whether `stage2_plan` (rewritten and analyzed) has the shape whose
+  /// grouping is pushed into the union; the data may still make a query
+  /// fall back. Exposed for tests.
+  static bool CanPushGroupingIntoUnion(const PlanPtr& stage2_plan);
+
   /// Runtime adjustment of the governance knobs (shell `.timeout` /
   /// `.memlimit`). Safe between queries; not synchronized against a query
   /// in flight.
   TwoStageOptions* mutable_options() { return &options_; }
 
  private:
+  /// One branch's partial aggregate, taken inside its wave task when the
+  /// grouping is pushed into the union: the aggregates of all its rows as
+  /// one group, and the join-key value every row carries.
+  struct BranchPartial {
+    GroupAggState state;
+    std::string key;
+  };
   /// A mount the wave completed (or refused), keyed by URI. The mount_fn
   /// serves it only when `predicate` is the exact fused-predicate instance
   /// the plan's mount node carries; `node` and `wall_nanos` charge the
@@ -269,10 +287,33 @@ class TwoStageExecutor {
     TablePtr table;
     const LogicalPlan* node = nullptr;
     uint64_t wall_nanos = 0;
+    /// Set when the pushdown is on and `table` is the table the partial was
+    /// taken from (not one emptied by admission or gather).
+    std::shared_ptr<const BranchPartial> partial;
   };
   using PremountMap = std::unordered_map<std::string, PremountEntry>;
 
   class Admission;  // per-query stage-2 admission, see two_stage.cc
+  struct PartialAggPlan;  // the grouping pushed into the union, see two_stage.cc
+
+  /// The stage-2 plan's Aggregate(Join(Union(…), M)) when its grouping can be
+  /// pushed into the union's branches, resolved to column indices.
+  static std::optional<PartialAggPlan> FindPartialAggPlan(const PlanPtr& plan);
+
+  /// A branch's partial: all of `table`'s rows as one group. Null when the
+  /// rows do not all carry one join-key value (they may then join different
+  /// M rows, so the branch is not one group).
+  static std::shared_ptr<const BranchPartial> TakePartial(
+      const PartialAggPlan& plan, const Table& table);
+
+  /// Merges the premounted branches' partials in union-branch order under
+  /// the group key of each branch's M row into `*out`, counting into
+  /// `ctx->stats` and annotating `profiler`. Returns why it cannot when the
+  /// merge would not be bit-identical to aggregating the joined rows.
+  static std::string MergePartials(const PartialAggPlan& plan,
+                                   const PremountMap& premounted,
+                                   ExecContext* ctx, PlanProfiler* profiler,
+                                   TablePtr* out);
 
   Result<std::vector<FileDecision>> DecideFiles(
       const std::vector<std::string>& files, const ExprPtr& d_predicate,
@@ -292,10 +333,13 @@ class TwoStageExecutor {
   /// admits each in branch order — filling `premounted`, empty tables for
   /// refused branches — and charges one formula over (shard × lane) slots
   /// into `stats`. See the definition and DESIGN.md §8.6.
+  /// With `pushdown` set, each task also takes its branch's partial
+  /// aggregate after the mount.
   Status PremountUnion(const PlanPtr& union_node, size_t workers, int priority,
                        TwoStageStats* stats, PremountMap* premounted,
                        Admission* admission, QueryContext* qctx,
-                       const PruningOptions* pruning);
+                       const PruningOptions* pruning,
+                       const PartialAggPlan* pushdown);
 
   /// The shared database-wide pool when one was injected, else a private
   /// cached pool (re)built to `workers` threads when needed.

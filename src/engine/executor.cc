@@ -4,10 +4,12 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 
 #include "common/logging.h"
 #include "engine/batch.h"
+#include "engine/group_agg.h"
 #include "engine/kernel.h"
 #include "engine/plan_profile.h"
 
@@ -880,26 +882,18 @@ class HashAggOp : public PhysOp {
     return true;
   }
 
-  /// Per-agg accumulator arrays, parallel over global group slots.
-  struct KernelAgg {
-    std::vector<double> min, max, sum;
-    std::vector<int64_t> imin, imax, isum;
-    std::vector<uint64_t> count;
-    std::vector<uint8_t> seen;
-    void Grow(size_t n) {
-      min.resize(n, 0);
-      max.resize(n, 0);
-      sum.resize(n, 0);
-      imin.resize(n, 0);
-      imax.resize(n, 0);
-      isum.resize(n, 0);
-      count.resize(n, 0);
-      seen.resize(n, 0);
-    }
-  };
-
   Status AccumulateKernel() {
-    kernel_aggs_.resize(aggs_.size());
+    std::vector<int> arg_columns;
+    std::vector<DataType> arg_types;
+    std::vector<AggFunc> fns;
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      fns.push_back(aggs_[a].fn);
+      arg_columns.push_back(args_[a] == nullptr ? -1 : args_[a]->column_index());
+      arg_types.push_back(args_[a] == nullptr ? DataType::kInt64
+                                              : args_[a]->output_type());
+    }
+    kernel_state_.emplace(std::move(fns), std::move(arg_columns),
+                          std::move(arg_types));
     Batch in;
     DEX_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
     while (more) {
@@ -926,103 +920,24 @@ class HashAggOp : public PhysOp {
               group_index_.try_emplace(s, kernel_keys_.size());
           if (inserted) {
             kernel_keys_.push_back(Value::String(s));
-            GrowKernelGroups();
+            kernel_state_->Resize(kernel_keys_.size());
           }
           local_to_global_[ls] = static_cast<uint32_t>(it->second);
         }
         for (size_t r = 0; r < rows; ++r) gid_[r] = local_to_global_[gid_[r]];
       } else {
-        if (kernel_keys_.empty()) {
-          kernel_keys_.emplace_back();  // the single global group
-          GrowKernelGroups();
-        }
+        kernel_state_->Resize(1);  // the single global group
         std::fill(gid_.begin(), gid_.end(), 0u);
       }
-      for (size_t r = 0; r < rows; ++r) ++group_rows_[gid_[r]];
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (args_[a] == nullptr) continue;
-        const Column& col = *in.columns[args_[a]->column_index()];
-        KernelAgg& k = kernel_aggs_[a];
-        if (col.type() == DataType::kDouble) {
-          kernel::GroupAccumF64(col.data_f64(), sel, rows, gid_.data(),
-                                k.min.data(), k.max.data(), k.sum.data(),
-                                k.count.data(), k.seen.data());
-        } else {
-          kernel::GroupAccumI64(col.data_i64(), sel, rows, gid_.data(),
-                                k.imin.data(), k.imax.data(), k.sum.data(),
-                                k.isum.data(), k.count.data(), k.seen.data());
-        }
-      }
+      kernel_state_->Accumulate(in.columns, sel, rows, gid_.data());
       ctx_->stats.kernel_agg_batches += 1;
       DEX_ASSIGN_OR_RETURN(more, child_->Next(&in));
     }
     return Status::OK();
   }
 
-  void GrowKernelGroups() {
-    group_rows_.resize(kernel_keys_.size(), 0);
-    for (KernelAgg& k : kernel_aggs_) k.Grow(kernel_keys_.size());
-  }
-
   Result<bool> EmitKernel(Batch* out) {
-    if (kernel_keys_.empty() && !groups_.empty()) return false;
-    bool empty_input = false;
-    if (kernel_keys_.empty()) {
-      kernel_keys_.emplace_back();
-      GrowKernelGroups();
-      empty_input = true;
-    }
-    *out = Batch::Empty(schema_);
-    for (size_t g = 0; g < kernel_keys_.size(); ++g) {
-      size_t c = 0;
-      if (!groups_.empty()) {
-        DEX_RETURN_NOT_OK(out->columns[c++]->AppendValue(kernel_keys_[g]));
-      }
-      for (size_t a = 0; a < aggs_.size(); ++a, ++c) {
-        const KernelAgg& k = kernel_aggs_[a];
-        const DataType out_type = schema_->field(c).type;
-        const bool is_f64 =
-            args_[a] != nullptr && args_[a]->output_type() == DataType::kDouble;
-        const uint64_t rows = group_rows_[g];
-        Value v;
-        switch (aggs_[a].fn) {
-          case AggFunc::kCount:
-            v = Value::Int64(empty_input ? 0 : static_cast<int64_t>(rows));
-            break;
-          case AggFunc::kSum:
-            v = out_type == DataType::kInt64
-                    ? Value::Int64(k.isum[g])
-                    : Value::Double(is_f64 ? k.sum[g]
-                                           : static_cast<double>(k.isum[g]));
-            break;
-          case AggFunc::kAvg:
-            v = Value::Double(rows == 0 ? 0.0
-                                        : k.sum[g] / static_cast<double>(rows));
-            break;
-          case AggFunc::kMin:
-          case AggFunc::kMax: {
-            const bool want_min = aggs_[a].fn == AggFunc::kMin;
-            if (!k.seen[g]) {
-              // Empty group: the scalar path emits a zero of the output type.
-              v = out_type == DataType::kDouble ? Value::Double(0.0)
-                                                : Value::Int64(0);
-              if (out_type == DataType::kTimestamp) v = Value::Timestamp(0);
-              break;
-            }
-            if (is_f64) {
-              v = Value::Double(want_min ? k.min[g] : k.max[g]);
-            } else {
-              const int64_t iv = want_min ? k.imin[g] : k.imax[g];
-              v = out_type == DataType::kTimestamp ? Value::Timestamp(iv)
-                                                   : Value::Int64(iv);
-            }
-            break;
-          }
-        }
-        DEX_RETURN_NOT_OK(out->columns[c]->AppendValue(v));
-      }
-    }
-    return true;
+    return kernel_state_->Emit(kernel_keys_, !groups_.empty(), schema_, out);
   }
 
   Status Accumulate() {
@@ -1181,8 +1096,7 @@ class HashAggOp : public PhysOp {
   // Kernel-path state (see AccumulateKernel).
   bool kernel_mode_ = false;
   std::vector<Value> kernel_keys_;       // group key per global slot
-  std::vector<uint64_t> group_rows_;     // rows per global slot
-  std::vector<KernelAgg> kernel_aggs_;   // parallel accumulators per agg
+  std::optional<GroupAggState> kernel_state_;
   std::vector<uint32_t> gid_;            // per-row group ids (batch scratch)
   std::vector<int32_t> local_code_to_slot_;
   std::vector<int32_t> local_codes_;
@@ -1452,6 +1366,10 @@ Result<PhysOpPtr> TryBuildIndexJoin(const PlanPtr& plan, const JoinKeys& keys,
 }
 
 Result<PhysOpPtr> BuildOpInner(const PlanPtr& plan, ExecContext* ctx) {
+  auto precomputed = ctx->precomputed.find(plan.get());
+  if (precomputed != ctx->precomputed.end()) {
+    return PhysOpPtr(new TableSourceOp(plan->output_schema, precomputed->second));
+  }
   switch (plan->kind) {
     case PlanKind::kScan: {
       DEX_ASSIGN_OR_RETURN(TablePtr table, ctx->catalog->GetTable(plan->table_name));

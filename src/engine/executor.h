@@ -35,6 +35,12 @@ struct ExecStats {
   uint64_t scalar_agg_batches = 0;
   uint64_t selection_compactions = 0;
 
+  // Grouping pushed into the union (core/two_stage.h): union branches whose
+  // partial aggregate was taken inside the mount wave and merged, and
+  // eligible queries that fell back to aggregating the joined rows.
+  uint64_t partial_agg_branches = 0;
+  uint64_t partial_agg_fallbacks = 0;
+
   ExecStats& operator+=(const ExecStats& o) {
     rows_scanned += o.rows_scanned;
     rows_output += o.rows_output;
@@ -48,6 +54,8 @@ struct ExecStats {
     kernel_agg_batches += o.kernel_agg_batches;
     scalar_agg_batches += o.scalar_agg_batches;
     selection_compactions += o.selection_compactions;
+    partial_agg_branches += o.partial_agg_branches;
+    partial_agg_fallbacks += o.partial_agg_fallbacks;
     return *this;
   }
 };
@@ -74,6 +82,11 @@ struct ExecContext {
   /// cache-scan(uri) -> previously ingested partial table.
   std::function<Result<TablePtr>(const std::string& table, const std::string& uri)>
       cache_fn;
+
+  /// Plan nodes whose output was computed ahead of execution (the grouping
+  /// pushed into the union): such a node streams its table and builds none
+  /// of its children.
+  std::unordered_map<const LogicalPlan*, TablePtr> precomputed;
 
   /// Ei option: use prebuilt hash indexes for joins against indexed base
   /// tables instead of building a hash table on the fly.

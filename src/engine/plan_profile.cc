@@ -22,6 +22,8 @@ void RenderNode(const LogicalPlan* node,
   if (it == profiles.end()) {
     // Built but never pulled (e.g. a union branch pruned by LIMIT).
     out->append("  (never executed)");
+  } else if (it->second.opens == 0 && !it->second.note.empty()) {
+    out->append("  (" + it->second.note + ")");
   } else {
     const OpProfile& p = it->second;
     char buf[160];
@@ -30,6 +32,7 @@ void RenderNode(const LogicalPlan* node,
                   p.rows_out, p.batches, FormatMillis(p.open_nanos).c_str(),
                   FormatMillis(p.next_nanos).c_str());
     out->append(buf);
+    if (!p.note.empty()) out->append("  [" + p.note + "]");
   }
   out->push_back('\n');
   for (const PlanPtr& c : node->children) {

@@ -22,6 +22,10 @@ struct OpProfile {
   uint64_t opens = 0;        // Open() calls (union branches open lazily)
   uint64_t open_nanos = 0;   // wall time inside Open(), children included
   uint64_t next_nanos = 0;   // wall time inside Next(), children included
+  /// What ran instead of the operator, or beside it (e.g. the grouping
+  /// pushed into the union). A node with a note but no opens renders the
+  /// note alone; otherwise the note follows the counters.
+  std::string note;
 };
 
 /// \brief Collects OpProfiles across one query's plan executions and renders
